@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import KernelSpec, gram, gram_cross, kernel_diag, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
-from .sparsifier import Dictionary, GrowthTrace, kstar_oracle, run_stream
+from .sparsifier import GrowthTrace, kstar_oracle, run_checkpoints, run_stream
 from .symfun import Spectrum
 
 __all__ = [
@@ -129,8 +129,15 @@ class Sampler:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@lru_cache(maxsize=8)
 def _dataset_rows(path: str) -> np.ndarray:
+    """Numeric rows of a dataset CSV, re-read whenever the file changes."""
+    st = os.stat(path)
+    return _parse_rows(path, st.st_mtime_ns, st.st_size)
+
+
+@lru_cache(maxsize=8)
+def _parse_rows(path: str, mtime_ns: int, size: int) -> np.ndarray:
+    # mtime_ns and size only key the cache, so a rewritten file is parsed anew
     rows = []
     with open(path, "r", newline="") as fh:
         for line in fh:
@@ -286,17 +293,7 @@ def growth_experiment(
     if not 1 <= n_max <= 100_000:
         raise ValueError("n_max must lie in [1, 100000]")
     marks = sorted({int(c) for c in checkpoints} | {n_max})
-    if marks[0] < 1 or marks[-1] > n_max:
-        raise ValueError("checkpoints must lie in [1, n_max]")
-    pts = sampler.points(n_max)
-    d = Dictionary(kernel, alpha)
-    records = []
-    mark_set = set(marks)
-    for i in range(n_max):
-        d.offer(pts[i])
-        if i + 1 in mark_set:
-            records.append((i + 1, len(d), d.log_det))
-    return GrowthTrace.from_records(records)
+    return run_checkpoints(kernel, alpha, sampler.points(n_max), marks)[1]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,17 @@ the ratio of consecutive Gram determinants, so after every admission
 ``log det G_D > |D| * log(alpha)`` holds strictly.
 
 Instead of the explicit Gram inverse, the dictionary maintains a growing
-lower-triangular factor L with ``G_D = L @ L.T``: admission cost stays
-O(|D|^2) per offered point while the factorization is numerically better
-behaved.  Brute-force oracles (:func:`kstar_oracle`,
+lower-triangular factor L with ``G_D = L @ L.T``, which is numerically better
+behaved.  Points are offered in blocks of ``BLOCK`` candidates X_B.  One
+kernel evaluation against the members and one triangular solve
+W = L^-1 K(D, X_B) give every candidate's residual ``k(x, x) - |w|^2``
+against the dictionary as the block began.  The block is then walked in
+order: an admission appends one factor row, and each later candidate gains
+one coordinate against that row and loses its square from its residual.
+That is forward substitution against the grown factor, so every decision
+equals the one-point-at-a-time rule.  A block costs one O(|D|^2 B) solve
+plus O(|D| B) per admission, where a point-at-a-time solve costs O(|D|^2)
+for every offered point.  Brute-force oracles (:func:`kstar_oracle`,
 :func:`check_alpha_compatible`) recompute everything from dense Gram
 matrices and serve as independent references for tests.
 """
@@ -27,9 +35,9 @@ from scipy.linalg import solve_triangular
 from .kernels import (
     DEFAULT_PIVOT_TOL,
     KernelSpec,
-    eval_kernel,
     gram,
     gram_cross,
+    kernel_diag,
     log_det_psd,
     logdet_psd_stack,
 )
@@ -41,6 +49,7 @@ __all__ = [
     "GrowthTrace",
     "NumericalConsistencyError",
     "run_stream",
+    "run_checkpoints",
     "check_alpha_compatible",
     "kstar_oracle",
     "save_dictionary",
@@ -51,6 +60,10 @@ __all__ = [
 # anything lower is a bug (the scale factor keeps the window meaningful for
 # kernels whose diagonal is far from 1)
 RESIDUAL_CLAMP = 1e-12
+
+# candidates per block of Dictionary.extend: they share one kernel_diag call,
+# one gram_cross against the members and one triangular solve
+BLOCK = 256
 
 
 class NumericalConsistencyError(np.linalg.LinAlgError):
@@ -65,8 +78,8 @@ class Admission(NamedTuple):
 class Dictionary:
     """Ordered admitted points plus the triangular factor of their Gram matrix.
 
-    Single-writer: :meth:`offer` requires exclusive access; residual queries
-    and property reads are safe between mutations.
+    Single-writer: :meth:`extend` and :meth:`offer` require exclusive access;
+    residual queries and property reads are safe between mutations.
     """
 
     def __init__(self, kernel: KernelSpec, alpha: float):
@@ -102,8 +115,10 @@ class Dictionary:
 
         Solves one triangular system against the factor: O(|D|^2).
         """
-        delta, _, _ = self._project(np.asarray(x, dtype=float))
-        return delta
+        delta, floor, _ = self._block_residuals(self._checked(_one_point(x)))
+        if delta[0] < floor[0]:
+            raise _below_floor(delta[0], floor[0])
+        return 0.0 if delta[0] < 0 else float(delta[0])
 
     def offer(self, x) -> Admission:
         """Admit x when its residual strictly exceeds alpha; ties reject.
@@ -111,44 +126,96 @@ class Dictionary:
         On admission the factor gains one row with diagonal sqrt(residual)
         and the log-determinant grows by exactly log(residual).
         """
-        x = np.asarray(x, dtype=float)
-        delta, w, _ = self._project(x)
-        if not delta > self.alpha:
-            return Admission(False, delta)
+        size = self._n
+        delta = float(self.extend(_one_point(x))[0])
+        return Admission(self._n > size, delta)
+
+    def extend(self, points) -> np.ndarray:
+        """Offer the rows of ``points`` in order; return each row's residual.
+
+        Each row meets the dictionary as it stands at its turn, including the
+        rows of ``points`` admitted before it, so the result equals that of
+        offering the rows one at a time.  Residuals in the rounding window
+        ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)`` report 0; a residual below
+        it raises :class:`NumericalConsistencyError` before any later row is
+        admitted.
+        """
+        pts = self._checked(points)
+        out = np.empty(pts.shape[0])
+        for s in range(0, pts.shape[0], BLOCK):
+            out[s : s + BLOCK] = self._extend_block(pts[s : s + BLOCK])
+        return out
+
+    def _extend_block(self, xb: np.ndarray) -> np.ndarray:
+        """Sequential ALD rule over one block, with one triangular solve.
+
+        ``coords[l]`` holds x_l's coordinates against the factor as it grows:
+        the first |D| from the block solve, one more per admission in the
+        block.  Admitting x_j appends the factor row (coords[j], sqrt(delta_j));
+        every later x_l gains the coordinate
+        c_l = (k(x_l, x_j) - coords[l] . coords[j]) / sqrt(delta_j), and its
+        residual drops by c_l**2.  That is forward substitution against the
+        appended row, so every decision equals the one-point-at-a-time rule.
+        """
+        delta, floor, w = self._block_residuals(xb)
+        b, n = xb.shape[0], self._n
+        coords = np.empty((b, n + b))
+        coords[:, :n] = w
+        l = 0
+        while l < b:
+            # the next row whose turn decides something: an admission or a fault
+            hits = np.flatnonzero((delta[l:] > self.alpha) | (delta[l:] < floor[l:]))
+            if hits.size == 0:
+                break
+            j = l + int(hits[0])
+            if delta[j] < floor[j]:
+                raise _below_floor(delta[j], floor[j])
+            m = self._n
+            root = math.sqrt(delta[j])
+            self._append(xb[j], coords[j, :m], root, float(delta[j]))
+            l = j + 1
+            if l < b:
+                k = gram_cross(self.kernel, xb[l:], xb[j : j + 1])[:, 0]
+                c = (k - coords[l:, :m] @ coords[j, :m]) / root
+                coords[l:, m] = c
+                delta[l:] -= c * c
+        return np.where(delta < 0, 0.0, delta)
+
+    def _block_residuals(self, xb: np.ndarray):
+        """Residuals of the rows of ``xb`` against the current factor.
+
+        Returns (delta, floor, w): w[l] = L^-1 k(D, x_l) from one triangular
+        solve, delta = k(x, x) - |w|^2 unclamped, and floor the most negative
+        residual still taken for rounding noise.
+        """
+        diag = kernel_diag(self.kernel, xb)
+        floor = -RESIDUAL_CLAMP * np.maximum(1.0, diag)
+        n = self._n
+        if n == 0:
+            return diag, floor, np.zeros((xb.shape[0], 0))
+        g = gram_cross(self.kernel, xb, self._pts[:n])
+        w = solve_triangular(self._fac[:n, :n], g.T, lower=True, check_finite=False)
+        return diag - np.einsum("ij,ij->j", w, w), floor, w.T
+
+    def _append(self, x: np.ndarray, row: np.ndarray, root: float, delta: float) -> None:
         n = self._n
         self._ensure_capacity(n + 1, x.shape[0])
-        if w is not None:
-            self._fac[n, :n] = w
-        self._fac[n, n] = math.sqrt(delta)
+        self._fac[n, :n] = row
+        self._fac[n, n] = root
         self._pts[n] = x
         self._n = n + 1
         self._dim = x.shape[0]
         self.log_det += math.log(delta)
-        return Admission(True, delta)
 
-    def _project(self, x: np.ndarray):
-        if x.ndim != 1:
-            raise ValueError("a point must be a 1-D coordinate array")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("point contains non-finite coordinates")
-        if self._n and x.shape[0] != self._dim:
-            raise ValueError(f"dimension mismatch: point has {x.shape[0]}, members have {self._dim}")
-        kxx = eval_kernel(self.kernel, x, x)
-        if self._n == 0:
-            return kxx, None, kxx
-        g = gram_cross(self.kernel, x[None, :], self._pts[: self._n])[0]
-        w = solve_triangular(
-            self._fac[: self._n, : self._n], g, lower=True, check_finite=False
-        )
-        delta = kxx - float(w @ w)
-        if delta < 0:
-            clamp = RESIDUAL_CLAMP * max(1.0, kxx)
-            if delta < -clamp:
-                raise NumericalConsistencyError(
-                    f"projection residual {delta} fell below -{clamp}"
-                )
-            delta = 0.0
-        return delta, w, kxx
+    def _checked(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("expected an (m, d) array of points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points contain non-finite coordinates")
+        if self._n and pts.shape[1] != self._dim:
+            raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, members have {self._dim}")
+        return pts
 
     def _ensure_capacity(self, n: int, dim: int) -> None:
         if self._pts is None:
@@ -165,6 +232,17 @@ class Dictionary:
         pts[:cap] = self._pts
         fac[:cap, :cap] = self._fac
         self._pts, self._fac = pts, fac
+
+
+def _one_point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("a point must be a 1-D coordinate array")
+    return x[None, :]
+
+
+def _below_floor(delta: float, floor: float) -> NumericalConsistencyError:
+    return NumericalConsistencyError(f"projection residual {delta} fell below {floor}")
 
 
 @dataclass(frozen=True)
@@ -239,16 +317,29 @@ def run_stream(
         raise ValueError("expected a nonempty (n, d) stream of points")
     if trace_every < 0:
         raise ValueError("trace_every must be >= 0")
+    total = pts.shape[0]
+    marks = list(range(trace_every, total, trace_every)) if trace_every else []
+    return run_checkpoints(kernel, alpha, pts, [*marks, total])
+
+
+def run_checkpoints(
+    kernel: KernelSpec, alpha: float, points, marks: Sequence[int]
+) -> tuple[Dictionary, GrowthTrace]:
+    """Offer points in order; record (n, |D|, log det) once the first n points
+    are offered, for each n in ``marks``: strictly increasing, from at least 1
+    up to the number of points."""
+    pts = np.asarray(points, dtype=float)
+    if not marks or marks[0] < 1 or marks[-1] != len(pts) or any(
+        b <= a for a, b in zip(marks, marks[1:])
+    ):
+        raise ValueError("checkpoints must increase strictly from 1 or more to the stream length")
     d = Dictionary(kernel, alpha)
     records = []
-    total = pts.shape[0]
-    for i in range(total):
-        d.offer(pts[i])
-        seen = i + 1
-        if trace_every and seen % trace_every == 0:
-            records.append((seen, len(d), d.log_det))
-    if not records or records[-1][0] != total:
-        records.append((total, len(d), d.log_det))
+    seen = 0
+    for mark in marks:
+        d.extend(pts[seen:mark])
+        seen = mark
+        records.append((seen, len(d), d.log_det))
     return d, GrowthTrace.from_records(records)
 
 
@@ -349,13 +440,11 @@ def load_dictionary(csv_path: str, json_path: str | None = None) -> Dictionary:
         header = fh.readline()
         if not header.startswith("x0"):
             raise ValueError("dictionary snapshot is missing its header row")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            point = np.array([float(v) for v in line.split(",")])
-            if not d.offer(point).admitted:
-                raise ValueError("snapshot member failed to re-admit; file is corrupt")
+        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+    if rows:
+        d.extend(rows)
+    if len(d) != len(rows):
+        raise ValueError("snapshot member failed to re-admit; file is corrupt")
     if len(d) != int(sidecar["size"]):
         raise ValueError("snapshot size disagrees with sidecar")
     return d

@@ -68,6 +68,18 @@ def test_dataset_replay_and_exhaustion(tmp_path):
         s.points(4, trial=1)
 
 
+def test_dataset_rewritten_in_process_is_read_anew(tmp_path):
+    path = str(tmp_path / "rows.csv")
+    with open(path, "w") as fh:
+        fh.write("1.0,2.0\n3.0,4.0\n")
+    assert np.array_equal(Sampler.dataset(path).points(2), [[1.0, 2.0], [3.0, 4.0]])
+    # a different length changes st_size even when st_mtime_ns does not tick
+    with open(path, "w") as fh:
+        fh.write("5.0,6.0\n7.0,8.0\n9.0,10.0\n")
+    s = Sampler.dataset(path)
+    assert s.points(3).tolist() == [[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]]
+
+
 # --- Monte Carlo estimators ------------------------------------------------------
 
 def test_mc_estimate_validation():

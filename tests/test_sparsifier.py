@@ -8,8 +8,10 @@ import pytest
 from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
 from oks.logvalue import is_log_zero
 from oks.sparsifier import (
+    BLOCK,
     Dictionary,
     GrowthTrace,
+    NumericalConsistencyError,
     check_alpha_compatible,
     kstar_oracle,
     load_dictionary,
@@ -216,6 +218,105 @@ def test_order_sensitivity_keeps_invariants():
     for d in (d1, d2):
         assert d.log_det > len(d) * math.log(alpha)
         assert check_alpha_compatible(d.kernel, alpha, d.members)
+
+
+# --- block admission (Dictionary.extend) -----------------------------------------
+
+def _extend_case(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    return mixed_kernel(rng), rng.standard_normal((n, dim)) * 0.7
+
+
+# more than 600 points each, so every stream crosses two block boundaries;
+# kernels poly, pow, linear and rbf; the last is admission-heavy (59% admitted,
+# d = 5), the second and the last admit points inside the second block
+EXTEND_CASES = [(31, 700, 2, 0.05), (32, 650, 3, 0.2), (42, 620, 3, 0.05), (51, 620, 5, 0.03)]
+
+
+@pytest.mark.parametrize("seed, n, dim, alpha", EXTEND_CASES)
+def test_extend_equals_sequential_dense_replay(seed, n, dim, alpha):
+    kernel, pts = _extend_case(seed, n, dim)
+    d = Dictionary(kernel, alpha)
+    res = d.extend(pts)
+
+    members: list[np.ndarray] = []
+    for x in pts:
+        if dense_residual(kernel, members, x) > alpha:
+            members.append(x)
+    assert np.array_equal(d.members, np.array(members))
+    L = d.factor
+    assert np.allclose(L @ L.T, gram(kernel, d.members), rtol=0, atol=1e-10)
+    admitted = res > alpha
+    assert admitted.sum() == len(d)
+    assert d.log_det == sum(math.log(r) for r in res[admitted])
+
+
+@pytest.mark.parametrize("seed, n, dim, alpha", EXTEND_CASES)
+def test_extend_any_split_matches_one_extend(seed, n, dim, alpha):
+    kernel, pts = _extend_case(seed, n, dim)
+    whole = Dictionary(kernel, alpha)
+    whole_res = whole.extend(pts)
+    rng = np.random.default_rng(seed + 1000)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=12, replace=False))
+    d = Dictionary(kernel, alpha)
+    parts = []
+    for i, chunk in enumerate(np.split(pts, cuts)):
+        if i % 2:
+            parts.extend(d.offer(x).residual for x in chunk)
+        else:
+            parts.extend(d.extend(chunk))
+    assert np.array_equal(d.members, whole.members)
+    assert np.allclose(d.factor, whole.factor, rtol=0, atol=1e-10)
+    assert d.log_det == pytest.approx(whole.log_det, rel=1e-12, abs=1e-12)
+    assert np.allclose(parts, whole_res, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, n, dim, alpha", EXTEND_CASES[1::2])
+def test_extend_rejects_in_block_duplicate(seed, n, dim, alpha):
+    kernel, pts = _extend_case(seed, n, dim)
+    plain = Dictionary(kernel, alpha)
+    res = plain.extend(pts)
+    j = BLOCK + int(np.flatnonzero(res[BLOCK : 2 * BLOCK - 3] > alpha)[0])
+    d = Dictionary(kernel, alpha)
+    dup = d.extend(np.insert(pts, j + 3, pts[j], axis=0))[j + 3]  # same block as pts[j]
+    assert np.array_equal(d.members, plain.members)
+    # zero in exact arithmetic; rounding leaves a few ulps of k(x, x)
+    assert 0 <= dup < 1e-12 * max(1.0, float(gram(kernel, pts[j : j + 1])[0, 0]))
+
+
+def test_extend_rejects_in_block_duplicate_with_residual_zero():
+    # integer points under the linear kernel: every step below is exact
+    d = Dictionary(linear(), 0.5)
+    d.extend([[1.0, 0.0, 0.0]])
+    res = d.extend([[0.0, 0.0, 2.0], [3.0, 4.0, 0.0], [3.0, 4.0, 0.0]])
+    assert res.tolist() == [4.0, 16.0, 0.0]
+    assert d.members.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 2.0], [3.0, 4.0, 0.0]]
+    assert d.factor.tolist() == [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [3.0, 0.0, 4.0]]
+
+
+def test_extend_failure_semantics():
+    d = Dictionary(rbf(1.0), 0.5)
+    d.offer([0.0])
+    d._fac[0, 0] = 1.0 - 1e-14  # residual of [0] becomes about -2e-14: rounding noise
+    assert d.residual([0.0]) == 0.0
+    assert d.extend([[0.0]]).tolist() == [0.0]
+    d._fac[0, 0] = 0.5  # residual of [0] becomes about -3: a fault
+    with pytest.raises(NumericalConsistencyError):
+        d.residual([0.0])
+    with pytest.raises(NumericalConsistencyError):
+        d.extend([[5.0], [0.0], [10.0]])
+    # the row before the fault was admitted, the one after it was not
+    assert d.members.tolist() == [[0.0], [5.0]]
+
+
+def test_extend_validates_before_admitting():
+    d = Dictionary(rbf(1.0), 0.1)
+    with pytest.raises(ValueError):
+        d.extend([[0.0], [float("nan")]])
+    with pytest.raises(ValueError):
+        d.extend([0.0, 1.0])
+    assert len(d) == 0
+    assert d.extend(np.zeros((0, 1))).shape == (0,)
 
 
 # --- alpha-compatibility --------------------------------------------------------
