@@ -13,8 +13,10 @@ W = L^-1 K(D, X_B) give every candidate's residual ``k(x, x) - |w|^2``
 against the dictionary as the block began.  The block is then walked in
 order: an admission appends one factor row, and each later candidate gains
 one coordinate against that row and loses its square from its residual.
-That is forward substitution against the grown factor, so every decision
-equals the one-point-at-a-time rule.  A block costs one O(|D|^2 B) solve
+That is forward substitution against the grown factor, so in exact
+arithmetic every decision equals the one-point-at-a-time rule; in floating
+point a residual within rounding of ``alpha`` may be decided differently
+than by a point-at-a-time solve.  A block costs one O(|D|^2 B) solve
 plus O(|D| B) per admission, where a point-at-a-time solve costs O(|D|^2)
 for every offered point.  Brute-force oracles (:func:`kstar_oracle`,
 :func:`check_alpha_compatible`) recompute everything from dense Gram
@@ -116,9 +118,7 @@ class Dictionary:
         Solves one triangular system against the factor: O(|D|^2).
         """
         delta, floor, _ = self._block_residuals(self._checked(_one_point(x)))
-        if delta[0] < floor[0]:
-            raise _below_floor(delta[0], floor[0])
-        return 0.0 if delta[0] < 0 else float(delta[0])
+        return float(_settled(delta, floor)[0])
 
     def offer(self, x) -> Admission:
         """Admit x when its residual strictly exceeds alpha; ties reject.
@@ -134,11 +134,12 @@ class Dictionary:
         """Offer the rows of ``points`` in order; return each row's residual.
 
         Each row meets the dictionary as it stands at its turn, including the
-        rows of ``points`` admitted before it, so the result equals that of
-        offering the rows one at a time.  Residuals in the rounding window
-        ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)`` report 0; a residual below
-        it raises :class:`NumericalConsistencyError` before any later row is
-        admitted.
+        rows of ``points`` admitted before it, so in exact arithmetic the
+        result equals that of offering the rows one at a time (a residual
+        within rounding of ``alpha`` may be decided differently).  Residuals
+        in the rounding window ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)``
+        report 0; a residual below it raises :class:`NumericalConsistencyError`
+        before any later row is admitted.
         """
         pts = self._checked(points)
         out = np.empty(pts.shape[0])
@@ -155,21 +156,23 @@ class Dictionary:
         every later x_l gains the coordinate
         c_l = (k(x_l, x_j) - coords[l] . coords[j]) / sqrt(delta_j), and its
         residual drops by c_l**2.  That is forward substitution against the
-        appended row, so every decision equals the one-point-at-a-time rule.
+        appended row: in exact arithmetic, the one-point-at-a-time rule.
         """
         delta, floor, w = self._block_residuals(xb)
         b, n = xb.shape[0], self._n
         coords = np.empty((b, n + b))
         coords[:, :n] = w
         l = 0
-        while l < b:
-            # the next row whose turn decides something: an admission or a fault
-            hits = np.flatnonzero((delta[l:] > self.alpha) | (delta[l:] < floor[l:]))
-            if hits.size == 0:
-                break
-            j = l + int(hits[0])
-            if delta[j] < floor[j]:
-                raise _below_floor(delta[j], floor[j])
+        while True:
+            # a delta within rounding of alpha may land on either side of it,
+            # unlike with a per-point solve, depending on the block boundaries
+            hits = np.flatnonzero(delta[l:] > self.alpha)
+            j = l + int(hits[0]) if hits.size else b
+            # rows l..j-1 are rejected for good; a fault among them raises
+            # before x_j is admitted
+            delta[l:j] = _settled(delta[l:j], floor[l:j])
+            if j == b:
+                return delta
             m = self._n
             root = math.sqrt(delta[j])
             self._append(xb[j], coords[j, :m], root, float(delta[j]))
@@ -179,7 +182,6 @@ class Dictionary:
                 c = (k - coords[l:, :m] @ coords[j, :m]) / root
                 coords[l:, m] = c
                 delta[l:] -= c * c
-        return np.where(delta < 0, 0.0, delta)
 
     def _block_residuals(self, xb: np.ndarray):
         """Residuals of the rows of ``xb`` against the current factor.
@@ -241,8 +243,14 @@ def _one_point(x) -> np.ndarray:
     return x[None, :]
 
 
-def _below_floor(delta: float, floor: float) -> NumericalConsistencyError:
-    return NumericalConsistencyError(f"projection residual {delta} fell below {floor}")
+def _settled(delta: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Final residuals: values in the rounding window [floor, 0) report 0, and
+    the first value below its floor raises :class:`NumericalConsistencyError`."""
+    low = np.flatnonzero(delta < floor)
+    if low.size:
+        i = low[0]
+        raise NumericalConsistencyError(f"projection residual {delta[i]} fell below {floor[i]}")
+    return np.where(delta < 0, 0.0, delta)
 
 
 @dataclass(frozen=True)
