@@ -62,45 +62,34 @@ def _threshold_from_log_nu(k: int, alpha: float, delta: float, lnu: LogValue) ->
     return float(alpha * k / math.e * math.exp((math.log(delta) - lnu) / k))
 
 
-def _exact_threshold(kind: str, param: float, k: int, alpha: float, delta: float) -> float:
-    spec = synthetic_spectrum(kind, param, max(4 * k, 64))
-    return sample_threshold(k, alpha, delta, spec)
-
-
 def growth_prediction(kind: str, param: float, n: int, alpha: float, delta: float) -> int:
     """Smallest k whose sample threshold exceeds n under the given decay law.
 
-    Semantics: the threshold at each k is evaluated on the matching synthetic
-    spectrum truncated at max(4k, 64) terms.  A unit-step scan is exact but
-    O(k^3) overall, so a coarse pass first locates the crossing with one
-    shared long-truncation table per doubling of the search window (longer
-    truncations only lower thresholds, so the coarse crossing upper-bounds
-    the exact one), and the answer is then settled with exact per-k
-    evaluations around it.
+    The threshold at each k is :func:`sample_threshold` on the matching
+    synthetic spectrum truncated at max(4k, 64) terms.  All of these are read
+    from one prefix table: row max(4k, 64) of ``esp_table`` over a 4W-term
+    spectrum holds log nu(k) over exactly that truncation, computed by the
+    same elementwise recursion, so it equals the per-k value bit for bit for
+    every k <= W.  k is scanned upward from 1, and the window W doubles (with
+    one new table) only when the scan runs past it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if kind not in ("geometric", "polynomial"):
         raise ValueError(f"unsupported decay kind {kind!r}")
-    window = 64
-    candidate = None
-    while candidate is None:
-        if window > _SCAN_LIMIT:
-            raise RuntimeError("growth prediction scan did not terminate")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    k, window = 1, 64
+    while window <= _SCAN_LIMIT:
         table = esp_table(synthetic_spectrum(kind, param, 4 * window), window)
-        for k in range(1, window + 1):
-            if _threshold_from_log_nu(k, alpha, delta, table.final(k)) > n:
-                candidate = k
-                break
+        while k <= window:
+            if _threshold_from_log_nu(k, alpha, delta, table.value(max(4 * k, 64), k)) > n:
+                return k
+            k += 1
         window *= 2
-    k = candidate
-    while k > 1 and _exact_threshold(kind, param, k - 1, alpha, delta) > n:
-        k -= 1
-    while not _exact_threshold(kind, param, k, alpha, delta) > n:
-        k += 1
-        if k > _SCAN_LIMIT:
-            raise RuntimeError("growth prediction scan did not terminate")
-    return k
+    raise RuntimeError("growth prediction scan did not terminate")
 
 
 def moment_bound(power_spec: Spectrum, k: int) -> LogValue:

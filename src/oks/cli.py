@@ -27,6 +27,7 @@ import numpy as np
 from .bounds import dict_tail_bound, sample_threshold
 from .harness import (
     Sampler,
+    dataset_rows,
     mc_det_moment,
     mc_expected_gram_det,
     mc_kstar_tail,
@@ -193,12 +194,17 @@ def _load_spectrum(source: str, size: int) -> Spectrum:
         raise CliError(f"cannot load spectrum {source!r}: {exc}") from None
 
 
-def _emit(eff: dict, subcommand: str, header, rows, inputs=(), started=None) -> None:
+def _csv(header, rows) -> str:
     body = io.StringIO()
     write_csv(body, header, rows)
+    return body.getvalue()
+
+
+def _emit(eff: dict, subcommand: str, body: str, inputs=(), started=None) -> None:
+    """Write the body to ``--out`` with a JSON manifest beside it, or to stdout."""
     if eff.get("out"):
         with open(eff["out"], "w", newline="") as fh:
-            fh.write(body.getvalue())
+            fh.write(body)
         wall = 0.0 if started is None else time.monotonic() - started
         params = {k: v for k, v in eff.items() if k != "out"}
         write_manifest(
@@ -210,7 +216,7 @@ def _emit(eff: dict, subcommand: str, header, rows, inputs=(), started=None) -> 
             wall_time_s=wall,
         )
     else:
-        sys.stdout.write(body.getvalue())
+        sys.stdout.write(body)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,7 @@ def _cmd_esp(eff: dict) -> int:
     else:
         rows = [(j, log_nus[j]) for j in range(k + 1)]
         header = ["k", "log_nu"]
-    _emit(eff, "esp", header, rows)
+    _emit(eff, "esp", _csv(header, rows))
     return 0
 
 
@@ -255,7 +261,7 @@ def _cmd_bound(eff: dict) -> int:
         )
         header += ["delta", "threshold_n"]
         row += [eff["delta"], threshold]
-    _emit(eff, "bound", header, [row])
+    _emit(eff, "bound", _csv(header, [row]))
     return 0
 
 
@@ -267,8 +273,10 @@ def _cmd_mc_gram(eff: dict) -> int:
     _emit(
         eff,
         "mc-gram",
-        ["kernel", "sampler", "k", "trials", "seed", "mean", "std_error"],
-        [(eff["kernel"], eff["sampler"], eff["k"], est.trials, eff["seed"], est.mean, est.std_error)],
+        _csv(
+            ["kernel", "sampler", "k", "trials", "seed", "mean", "std_error"],
+            [(eff["kernel"], eff["sampler"], eff["k"], est.trials, eff["seed"], est.mean, est.std_error)],
+        ),
         started=started,
     )
     return 0
@@ -282,8 +290,10 @@ def _cmd_mc_moment(eff: dict) -> int:
     _emit(
         eff,
         "mc-moment",
-        ["kernel", "sampler", "k", "m", "trials", "seed", "mean", "std_error"],
-        [(eff["kernel"], eff["sampler"], eff["k"], eff["m"], est.trials, eff["seed"], est.mean, est.std_error)],
+        _csv(
+            ["kernel", "sampler", "k", "m", "trials", "seed", "mean", "std_error"],
+            [(eff["kernel"], eff["sampler"], eff["k"], eff["m"], est.trials, eff["seed"], est.mean, est.std_error)],
+        ),
         started=started,
     )
     return 0
@@ -297,8 +307,10 @@ def _cmd_kstar_tail(eff: dict) -> int:
     _emit(
         eff,
         "kstar-tail",
-        ["kernel", "sampler", "alpha", "n", "k", "trials", "seed", "estimate", "std_error"],
-        [(eff["kernel"], eff["sampler"], eff["alpha"], eff["n"], eff["k"], est.trials, eff["seed"], est.mean, est.std_error)],
+        _csv(
+            ["kernel", "sampler", "alpha", "n", "k", "trials", "seed", "estimate", "std_error"],
+            [(eff["kernel"], eff["sampler"], eff["alpha"], eff["n"], eff["k"], est.trials, eff["seed"], est.mean, est.std_error)],
+        ),
         started=started,
     )
     return 0
@@ -321,8 +333,7 @@ def _cmd_growth(eff: dict) -> int:
     _emit(
         eff,
         "growth",
-        ["n", "dict_size", "log_det"],
-        list(zip(trace.samples, trace.dict_size, trace.log_det)),
+        _csv(["n", "dict_size", "log_det"], zip(trace.samples, trace.dict_size, trace.log_det)),
         started=started,
     )
     return 0
@@ -337,9 +348,11 @@ def _cmd_nystrom(eff: dict) -> int:
     _emit(
         eff,
         "nystrom",
-        ["kernel", "sampler", "alpha", "n", "seed", *names],
-        [(eff["kernel"], eff["sampler"], eff["alpha"], eff["n"], eff["seed"],
-          *[getattr(rec, f) for f in names])],
+        _csv(
+            ["kernel", "sampler", "alpha", "n", "seed", *names],
+            [(eff["kernel"], eff["sampler"], eff["alpha"], eff["n"], eff["seed"],
+              *[getattr(rec, f) for f in names])],
+        ),
         started=started,
     )
     if not rec.entrywise_err_oks < rec.entrywise_bound:
@@ -371,7 +384,7 @@ def _cmd_regress(eff: dict) -> int:
         header.append("test_mse")
         row.append(model.evaluate(tx, ty))
         inputs.append(eff["test"])
-    _emit(eff, "regress", header, [row], inputs=inputs, started=started)
+    _emit(eff, "regress", _csv(header, [row]), inputs=inputs, started=started)
     return 0
 
 
@@ -390,54 +403,28 @@ def _cmd_spectrum_est(eff: dict) -> int:
     spec = empirical_spectrum(gram(kernel, pts), eff["clamp_tol"])
     body = io.StringIO()
     spec.to_csv(body)
-    if eff.get("out"):
-        with open(eff["out"], "w", newline="") as fh:
-            fh.write(body.getvalue())
-        params = {k: v for k, v in eff.items() if k != "out"}
-        write_manifest(
-            eff["out"] + ".manifest.json",
-            "spectrum-est",
-            params,
-            eff.get("seed"),
-            input_paths=inputs,
-            wall_time_s=time.monotonic() - started,
-        )
-    else:
-        sys.stdout.write(body.getvalue())
+    _emit(eff, "spectrum-est", body.getvalue(), inputs=inputs, started=started)
     return 0
 
 
 def _cmd_oks_run(eff: dict) -> int:
     started = time.monotonic()
     kernel = _parse_kernel(eff["kernel"])
-    sampler = Sampler.dataset(eff["data"])
     try:
-        pts = sampler.points(_dataset_len(eff["data"]))
+        pts = dataset_rows(eff["data"])
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read {eff['data']!r}: {exc}") from None
     d, trace = run_stream(kernel, eff["alpha"], pts, eff["trace_every"])
-    rows = list(zip(trace.samples, trace.dict_size, trace.log_det))
     if eff.get("out"):
-        write_csv(eff["out"], ["n", "dict_size", "log_det"], rows)
         save_dictionary(d, eff["out"] + ".dict.csv", eff["out"] + ".dict.json")
-        params = {k: v for k, v in eff.items() if k != "out"}
-        write_manifest(
-            eff["out"] + ".manifest.json",
-            "oks-run",
-            params,
-            None,
-            input_paths=(eff["data"],),
-            wall_time_s=time.monotonic() - started,
-        )
-    else:
-        write_csv(sys.stdout, ["n", "dict_size", "log_det"], rows)
+    _emit(
+        eff,
+        "oks-run",
+        _csv(["n", "dict_size", "log_det"], zip(trace.samples, trace.dict_size, trace.log_det)),
+        inputs=(eff["data"],),
+        started=started,
+    )
     return 0
-
-
-def _dataset_len(path: str) -> int:
-    from .harness import _dataset_rows
-
-    return _dataset_rows(path).shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .symfun import Spectrum
 
 __all__ = [
     "Sampler",
+    "dataset_rows",
     "McEstimate",
     "NystromComparison",
     "mc_expected_gram_det",
@@ -102,14 +103,14 @@ class Sampler:
             return self.spectrum.size
         if self.kind == "gaussian_input":
             return self.dim
-        return _dataset_rows(self.path).shape[1]
+        return dataset_rows(self.path).shape[1]
 
     def points(self, n: int, trial: int | None = None) -> np.ndarray:
         """First n points of the master stream, or of trial stream ``trial``."""
         if n < 0:
             raise ValueError("n must be >= 0")
         if self.kind == "dataset":
-            rows = _dataset_rows(self.path)
+            rows = dataset_rows(self.path)
             start = 0 if trial is None else trial * n
             if start + n > rows.shape[0]:
                 raise ValueError(
@@ -129,8 +130,11 @@ class Sampler:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _dataset_rows(path: str) -> np.ndarray:
-    """Numeric rows of a dataset CSV, re-read whenever the file changes."""
+def dataset_rows(path: str) -> np.ndarray:
+    """Numeric rows of a dataset CSV (read-only), re-read whenever the file changes.
+
+    Blank lines, ``#`` comments and one leading header row are skipped.
+    """
     st = os.stat(path)
     return _parse_rows(path, st.st_mtime_ns, st.st_size)
 
@@ -256,9 +260,13 @@ def mc_kstar_tail(
     """Fraction of trials whose n-point draw has kstar >= k, i.e. some subset
     of size j >= k with log det above j * log(alpha).
 
-    The per-trial enumeration is vectorized across the chunk; it evaluates
-    the same indicator as :func:`oks.sparsifier.kstar_oracle` (every subset
-    size from k to n, same determinant path, same strict comparison).
+    Only the k-subsets are enumerated.  Diagonal pivoting of a PSD Gram
+    matrix gives non-increasing pivots p_1 >= ... >= p_j whose product is its
+    determinant, so a j-subset with det > alpha**j has p_1 ... p_k > alpha**k,
+    and the points behind its first k pivots form a k-subset that passes.
+    Hence kstar >= k iff some k-subset passes.  The enumeration is
+    vectorized across the chunk, with the determinant path and the strict
+    comparison of :func:`oks.sparsifier.kstar_oracle`.
     """
     if not 1 <= n <= 10:
         raise ValueError("n must lie in [1, 10] for per-trial subset enumeration")
@@ -271,13 +279,9 @@ def mc_kstar_tail(
     def chunk(s: int, e: int) -> np.ndarray:
         pts = np.stack([sampler.points(n, trial=t) for t in range(s, e)])
         g = gram(kernel, pts)
-        hit = np.zeros(e - s, dtype=bool)
-        for j in range(n, k - 1, -1):
-            idx = _subset_indices(n, j)
-            subs = g[:, idx[:, :, None], idx[:, None, :]]
-            ld = logdet_psd_stack(subs)
-            hit |= np.any(ld > j * log_alpha, axis=-1)
-        return hit.astype(float)
+        idx = _subset_indices(n, k)
+        ld = logdet_psd_stack(g[:, idx[:, :, None], idx[:, None, :]])
+        return np.any(ld > k * log_alpha, axis=-1).astype(float)
 
     return _estimate(_run_chunked(trials, chunk))
 

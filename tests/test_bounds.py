@@ -125,11 +125,40 @@ def test_growth_prediction_polynomial_power_shape():
     assert ks[2] / ks[1] <= math.sqrt(10.0) * 1.5
 
 
+def _plain_threshold_scan(kind, param, n, alpha, delta):
+    k = 1
+    while not sample_threshold(k, alpha, delta, synthetic_spectrum(kind, param, max(4 * k, 64))) > n:
+        k += 1
+    return k
+
+
+# answers in the first window (k <= 64) and in the second, third and fourth
+# (65..128, 129..256, 257..512); k = 14 would be 13 on a 4k-term truncation
+@pytest.mark.parametrize(
+    "kind, param, n, alpha, delta, expected",
+    [
+        ("geometric", 2.0, 1, 10.0, 0.5, 1),
+        ("polynomial", 0.5, 2, 0.5, 0.1, 14),
+        ("geometric", 2.0, 10**3, 0.5, 0.1, 22),
+        ("polynomial", 2.0, 10**4, 0.5, 0.1, 87),
+        ("geometric", 1.1, 10**4, 0.5, 0.1, 209),
+        ("polynomial", 0.5, 200, 0.5, 0.1, 283),
+    ],
+)
+def test_growth_prediction_is_smallest_k_over_per_k_truncations(kind, param, n, alpha, delta, expected):
+    assert _plain_threshold_scan(kind, param, n, alpha, delta) == expected
+    assert growth_prediction(kind, param, n, alpha, delta) == expected
+
+
 def test_growth_prediction_validation():
     with pytest.raises(ValueError):
         growth_prediction("explicit", 2.0, 100, 0.5, 0.1)
     with pytest.raises(ValueError):
         growth_prediction("geometric", 2.0, 0, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        growth_prediction("geometric", 2.0, 100, 0.0, 0.1)
+    with pytest.raises(ValueError):
+        growth_prediction("geometric", 2.0, 100, 0.5, 1.0)
 
 
 # --- moment_bound -----------------------------------------------------------------

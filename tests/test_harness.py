@@ -137,18 +137,27 @@ def test_mc_kstar_tail_certain_and_impossible():
     # and no single point (nor any subset) beats alpha = 10 under rbf
     none = mc_kstar_tail(s, rbf(1.0), 10.0, 3, 1, 500)
     assert none.mean == 0.0
+    # the comparison is strict: det = 1 = alpha does not pass
+    tie = mc_kstar_tail(s, rbf(1.0), 1.0, 3, 1, 500)
+    assert tie.mean == 0.0
 
 
-def test_mc_kstar_tail_matches_per_trial_oracle():
-    s = diag_sampler([1.0, 0.5], 7)
-    est = mc_kstar_tail(s, linear(), 4.0, 6, 2, 400)
-    direct = np.mean(
-        [
-            1.0 if kstar_oracle(linear(), 4.0, s.points(6, trial=t)) >= 2 else 0.0
-            for t in range(400)
-        ]
-    )
-    assert est.mean == direct
+@pytest.mark.parametrize(
+    "kernel, sampler, alpha",
+    [
+        (linear(), diag_sampler([1.0, 0.5], 7), 4.0),
+        (rbf(1.0), Sampler.gaussian_input(2, 1.0, 7), 0.5),
+        (polynomial(2, 1.0), Sampler.gaussian_input(2, 0.7, 7), 1.0),
+    ],
+    ids=["linear", "rbf", "polynomial"],
+)
+def test_mc_kstar_tail_matches_per_trial_oracle(kernel, sampler, alpha):
+    # the all-sizes oracle against the k-subsets-only estimator
+    n, trials = 6, 400
+    kstars = np.array([kstar_oracle(kernel, alpha, sampler.points(n, trial=t)) for t in range(trials)])
+    for k in (1, 2, n // 2, n):
+        est = mc_kstar_tail(sampler, kernel, alpha, n, k, trials)
+        assert est.mean == np.mean(kstars >= k)
 
 
 def test_mc_kstar_tail_dominated_by_bound():
