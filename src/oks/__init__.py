@@ -47,13 +47,13 @@ from .sparsifier import (
 )
 from .spectrum import empirical_spectrum, spectrum_l1_gap, synthetic_spectrum
 from .symfun import (
-    EspTable,
     Spectrum,
     decay_bound,
     esp_brute,
-    esp_table,
     log_nu,
+    log_nu_row,
     nu_geometric,
+    nu_rows,
     tail_sum,
 )
 
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Admission",
     "Dictionary",
-    "EspTable",
     "GrowthTrace",
     "KernelSpec",
     "LOG_ZERO",
@@ -79,7 +78,6 @@ __all__ = [
     "dict_tail_bound",
     "empirical_spectrum",
     "esp_brute",
-    "esp_table",
     "eval_kernel",
     "gram",
     "gram_cross",
@@ -93,11 +91,13 @@ __all__ = [
     "log_binomial",
     "log_det_psd",
     "log_nu",
+    "log_nu_row",
     "mc_det_moment",
     "mc_expected_gram_det",
     "mc_kstar_tail",
     "moment_bound",
     "nu_geometric",
+    "nu_rows",
     "nystrom_compare",
     "polynomial",
     "power",

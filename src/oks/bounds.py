@@ -8,10 +8,13 @@ monotonicity checks and vacuous-regime detection need.
 from __future__ import annotations
 
 import math
+from typing import Iterator
+
+import numpy as np
 
 from .logvalue import LogValue, is_log_zero, log_binomial
 from .spectrum import synthetic_spectrum
-from .symfun import Spectrum, esp_table, log_nu
+from .symfun import Spectrum, log_nu, nu_rows
 
 __all__ = [
     "dict_tail_bound",
@@ -66,12 +69,11 @@ def growth_prediction(kind: str, param: float, n: int, alpha: float, delta: floa
     """Smallest k whose sample threshold exceeds n under the given decay law.
 
     The threshold at each k is :func:`sample_threshold` on the matching
-    synthetic spectrum truncated at max(4k, 64) terms.  All of these are read
-    from one prefix table: row max(4k, 64) of ``esp_table`` over a 4W-term
-    spectrum holds log nu(k) over exactly that truncation, computed by the
-    same elementwise recursion, so it equals the per-k value bit for bit for
-    every k <= W.  k is scanned upward from 1, and the window W doubles (with
-    one new table) only when the scan runs past it.
+    synthetic spectrum truncated at max(4k, 64) terms.  One pass of
+    :func:`nu_rows` over the prefixes of the decay law reads them all: row
+    max(4k, 64) holds log nu(k) over exactly that truncation, computed by the
+    same elementwise recursion, so it equals the per-k value bit for bit.
+    k is scanned upward from 1 as the pass reaches each k's row.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -81,15 +83,26 @@ def growth_prediction(kind: str, param: float, n: int, alpha: float, delta: floa
         raise ValueError("alpha must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    k, window = 1, 64
-    while window <= _SCAN_LIMIT:
-        table = esp_table(synthetic_spectrum(kind, param, 4 * window), window)
-        while k <= window:
-            if _threshold_from_log_nu(k, alpha, delta, table.value(max(4 * k, 64), k)) > n:
+    k = 1
+    for size, row in enumerate(nu_rows(_decay_values(kind, param))):
+        while max(4 * k, 64) == size:
+            if _threshold_from_log_nu(k, alpha, delta, float(row[k])) > n:
                 return k
             k += 1
-        window *= 2
-    raise RuntimeError("growth prediction scan did not terminate")
+        if k > _SCAN_LIMIT:
+            raise RuntimeError("growth prediction scan did not terminate")
+
+
+def _decay_values(kind: str, param: float) -> Iterator[np.ndarray]:
+    """The values lam_1, lam_2, ... of a synthetic decay law, in doubling chunks.
+
+    Each chunk is the new tail of a longer :func:`synthetic_spectrum`, whose
+    values are elementwise in the index, so earlier values never change.
+    """
+    done, size = 0, 256
+    while True:
+        yield synthetic_spectrum(kind, param, size).values[done:]
+        done, size = size, 2 * size
 
 
 def moment_bound(power_spec: Spectrum, k: int) -> LogValue:

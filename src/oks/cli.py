@@ -41,7 +41,7 @@ from .logvalue import LOG_ZERO, is_log_zero
 from .regress import fit, read_labeled_csv
 from .sparsifier import run_stream, save_dictionary
 from .spectrum import empirical_spectrum, synthetic_spectrum
-from .symfun import Spectrum, esp_brute, esp_table
+from .symfun import Spectrum, esp_brute, log_nu_row
 
 __all__ = ["main", "CliError", "ValidationFailure"]
 
@@ -227,8 +227,7 @@ def _cmd_esp(eff: dict) -> int:
     if k < 0:
         raise CliError("--k must be >= 0")
     spec = _load_spectrum(eff["spectrum"], max(4 * k, eff["trunc"]))
-    table = esp_table(spec, min(k, spec.size))
-    log_nus = [table.final(j) if j <= spec.size else LOG_ZERO for j in range(k + 1)]
+    log_nus = log_nu_row(spec, k).tolist()
     if eff["brute"]:
         if spec.size > 22:
             raise CliError("--brute needs a spectrum of length <= 22")

@@ -274,6 +274,8 @@ def mc_kstar_tail(
         raise ValueError("need 1 <= k <= n")
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     log_alpha = math.log(alpha)
 
     def chunk(s: int, e: int) -> np.ndarray:

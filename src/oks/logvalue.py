@@ -20,8 +20,6 @@ __all__ = [
     "LogValue",
     "LOG_ZERO",
     "is_log_zero",
-    "log_from_linear",
-    "log_to_linear",
     "log_binomial",
     "log_factorial",
 ]
@@ -34,18 +32,6 @@ LOG_ZERO: LogValue = float("-inf")
 def is_log_zero(x) -> bool:
     """True when a log-domain value denotes an exact zero."""
     return bool(np.isneginf(x))
-
-
-def log_from_linear(x: float) -> LogValue:
-    """Log-domain value of a nonnegative linear-scale number."""
-    if not x >= 0:
-        raise ValueError(f"expected a nonnegative value, got {x}")
-    return LOG_ZERO if x == 0 else math.log(x)
-
-
-def log_to_linear(x: LogValue) -> float:
-    """Linear-scale value; the zero state maps to exactly 0.0."""
-    return 0.0 if is_log_zero(x) else math.exp(x)
 
 
 def log_factorial(n: int) -> float:

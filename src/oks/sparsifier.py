@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -284,32 +284,6 @@ class GrowthTrace:
             raise ValueError("a trace needs at least one record")
         n, size, ld = zip(*records)
         return cls(np.array(n), np.array(size), np.array(ld))
-
-    def to_csv(self, target: Union[str, IO[str]]) -> None:
-        if isinstance(target, str):
-            with open(target, "w", newline="") as fh:
-                self.to_csv(fh)
-            return
-        target.write("n,dict_size,log_det\n")
-        for n, size, ld in zip(self.samples, self.dict_size, self.log_det):
-            target.write(f"{int(n)},{int(size)},{float(ld)!r}\n")
-
-    @classmethod
-    def from_csv(cls, source: Union[str, IO[str]]) -> "GrowthTrace":
-        if isinstance(source, str):
-            with open(source, "r", newline="") as fh:
-                return cls.from_csv(fh)
-        header = source.readline().strip()
-        if header != "n,dict_size,log_det":
-            raise ValueError(f"unexpected trace header {header!r}")
-        records = []
-        for line in source:
-            line = line.strip()
-            if not line:
-                continue
-            n, size, ld = line.split(",")
-            records.append((int(n), int(size), float(ld)))
-        return cls.from_records(records)
 
 
 def run_stream(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -28,10 +28,10 @@ from .logvalue import LOG_ZERO, LogValue, is_log_zero, log_binomial, log_factori
 
 __all__ = [
     "Spectrum",
-    "EspTable",
-    "esp_table",
-    "esp_brute",
+    "nu_rows",
+    "log_nu_row",
     "log_nu",
+    "esp_brute",
     "tail_sum",
     "decay_bound",
     "nu_geometric",
@@ -109,69 +109,54 @@ class Spectrum:
         return cls(np.array(vals, dtype=float), tail)
 
 
-@dataclass(frozen=True)
-class EspTable:
-    """Dynamic-programming table of log nu(n, k).
+def nu_rows(chunks: Iterable[np.ndarray], k_max: int | None = None) -> Iterator[np.ndarray]:
+    """Yield the rows log nu(n, .) for n = 0, 1, 2, ... over eigenvalues fed in chunks.
 
-    ``log_values[n, k]`` holds log nu over the first n eigenvalues; column 0
-    is log 1 = 0 and entries with k > n are the zero state.  The final row
-    (n = spectrum length) approximates the infinite-spectrum value.
+    One rolling row is advanced in place by the two-term log-sum
+    nu(n, k) = nu(n-1, k) + k * lam_n * nu(n-1, k-1), so n values cost
+    O(n * min(n, k_max)) work and one row of memory.  Entry k of a yielded
+    row is log nu(n, k) for every k it holds: column 0 is log 1 = 0 and
+    columns beyond n are the zero state.  With ``k_max`` the row holds
+    columns 0..k_max; without it, at least 0..n (it grows as values arrive).
+    The row is overwritten by the next step, so copy it to keep it.  Each
+    entry is computed elementwise, so it depends neither on ``k_max`` nor on
+    how the values are split into chunks.
     """
-
-    log_values: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.log_values, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("table must be 2-D")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "log_values", a)
-
-    @property
-    def n_max(self) -> int:
-        return self.log_values.shape[0] - 1
-
-    @property
-    def k_max(self) -> int:
-        return self.log_values.shape[1] - 1
-
-    def value(self, n: int, k: int) -> LogValue:
-        """log nu(n, k)."""
-        if not (0 <= n <= self.n_max and 0 <= k <= self.k_max):
-            raise IndexError(f"(n={n}, k={k}) outside table")
-        return float(self.log_values[n, k])
-
-    def final(self, k: int) -> LogValue:
-        """log nu(k) over the full retained spectrum."""
-        return self.value(self.n_max, k)
-
-
-def esp_table(spec: Spectrum, k_max: int) -> EspTable:
-    """Fill the log-domain recursion nu(n,k) = k*lam_n*nu(n-1,k-1) + nu(n-1,k).
-
-    O(N * k_max) work; each step is an exact two-term log-sum.
-    """
-    if k_max < 0:
+    if k_max is not None and k_max < 0:
         raise ValueError("k_max must be >= 0")
-    n_len = spec.size
-    if k_max > n_len:
-        raise ValueError(f"k_max={k_max} exceeds spectrum length {n_len}")
-    with np.errstate(divide="ignore"):
-        loglam = np.log(spec.values)
-    table = np.full((n_len + 1, k_max + 1), LOG_ZERO)
-    table[:, 0] = 0.0
-    if k_max > 0:
-        logk = np.log(np.arange(1, k_max + 1, dtype=float))
-        for n in range(1, n_len + 1):
-            prev = table[n - 1]
-            table[n, 1:] = np.logaddexp(prev[1:], logk + loglam[n - 1] + prev[:-1])
-    return EspTable(table)
+    cap = 0 if k_max is None else k_max
+    row = np.full(cap + 1, LOG_ZERO)
+    row[0] = 0.0
+    logk = np.log(np.arange(1, cap + 1, dtype=float))
+    yield row
+    n = 0
+    for chunk in chunks:
+        with np.errstate(divide="ignore"):
+            loglam = np.log(np.asarray(chunk, dtype=float))
+        for loglam_n in loglam:
+            n += 1
+            m = n if k_max is None else min(n, k_max)
+            if m > cap:
+                cap = 2 * m
+                row = np.concatenate([row, np.full(cap + 1 - row.size, LOG_ZERO)])
+                logk = np.log(np.arange(1, cap + 1, dtype=float))
+            row[1 : m + 1] = np.logaddexp(row[1 : m + 1], logk[:m] + loglam_n + row[:m])
+            yield row
+
+
+def log_nu_row(spec: Spectrum, k_max: int) -> np.ndarray:
+    """log nu(0..k_max) over the retained values of ``spec`` (tail excluded).
+
+    Entries beyond the spectrum length are the zero state.
+    """
+    for row in nu_rows([spec.values], k_max):
+        pass
+    return row
 
 
 def log_nu(spec: Spectrum, k: int) -> LogValue:
     """log nu(k) over the retained values of ``spec`` (tail excluded)."""
-    return esp_table(spec, min(k, spec.size)).final(k) if k <= spec.size else LOG_ZERO
+    return float(log_nu_row(spec, k)[k]) if k <= spec.size else LOG_ZERO
 
 
 def esp_brute(spec: Spectrum, k: int) -> LogValue:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from oks.bounds import dict_tail_bound, growth_prediction, moment_bound, sample_threshold
 from oks.logvalue import is_log_zero, log_binomial
 from oks.spectrum import synthetic_spectrum
-from oks.symfun import Spectrum, decay_bound, esp_table, log_nu, tail_sum
+from oks.symfun import Spectrum, decay_bound, log_nu, log_nu_row, tail_sum
 
 
 def spectrum(*values):
@@ -58,9 +59,9 @@ def test_tail_bound_vanishes_at_linear_dictionary_fraction():
 
 def test_tail_bound_inputs_respect_decay_relation():
     s = synthetic_spectrum("geometric", 2.0, 64)
-    t = esp_table(s, 12)
+    row = log_nu_row(s, 12)
     for k in range(1, 11):
-        assert t.final(k + 1) <= decay_bound(t.final(k), k, 1, tail_sum(s, k)) + 1e-12
+        assert row[k + 1] <= decay_bound(row[k], k, 1, tail_sum(s, k)) + 1e-12
 
 
 def test_log_binomial_matches_exact_integers():
@@ -148,6 +149,18 @@ def _plain_threshold_scan(kind, param, n, alpha, delta):
 def test_growth_prediction_is_smallest_k_over_per_k_truncations(kind, param, n, alpha, delta, expected):
     assert _plain_threshold_scan(kind, param, n, alpha, delta) == expected
     assert growth_prediction(kind, param, n, alpha, delta) == expected
+
+
+def test_growth_prediction_memory_is_one_row():
+    # one rolling row over the prefixes; holding a table of rows here
+    # would take tens of MiB
+    tracemalloc.start()
+    try:
+        assert growth_prediction("polynomial", 1.0, 10_000, 0.5, 0.1) == 569
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_growth_prediction_validation():

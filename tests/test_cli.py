@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,17 @@ def test_oks_run_out_writes_dictionary_snapshot(inputs, tmp_path, capsys):
     assert json.loads((tmp_path / "run.csv.dict.json").read_text())["alpha"] == 0.05
 
 
+def test_esp_beyond_spectrum_length_is_zero_state(capsys):
+    # nu_1 = 3 and nu_2 = 2! * (2 * 1) = 4 over two values; nu_3 = 0 exactly
+    rc, stdout, _ = _run(capsys, ["esp", "--spectrum", "explicit:2,1", "--k", "3"])
+    assert rc == 0
+    lines = stdout.splitlines()
+    assert lines[0] == "k,log_nu"
+    values = [float(line.split(",")[1]) for line in lines[1:4]]
+    assert values == pytest.approx([0.0, math.log(3.0), math.log(4.0)], rel=1e-14)
+    assert lines[4:] == ["3,-inf"]
+
+
 # --- exit code 1: usage errors --------------------------------------------------
 
 def test_bad_flag_exits_1(capsys):
@@ -106,6 +118,16 @@ def test_bad_flag_exits_1(capsys):
     assert rc == 1
     assert stdout == ""
     assert "usage error" in err
+
+
+def test_kstar_tail_nonpositive_alpha_exits_1(capsys):
+    for alpha in ("0", "-1"):
+        rc, stdout, err = _run(capsys, ["kstar-tail", "--kernel", "rbf:1.0", "--sampler", "gauss:2",
+                                        "--alpha", alpha, "--n", "5", "--k", "3", "--trials", "10",
+                                        "--seed", "3"])
+        assert rc == 1
+        assert stdout == ""
+        assert "error: alpha must be positive" in err
 
 
 def test_missing_subcommand_and_required_option_exit_1(capsys):

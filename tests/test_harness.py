@@ -142,6 +142,13 @@ def test_mc_kstar_tail_certain_and_impossible():
     assert tie.mean == 0.0
 
 
+def test_mc_kstar_tail_alpha_must_be_positive():
+    s = Sampler.gaussian_input(2, 1.0, 5)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            mc_kstar_tail(s, rbf(1.0), alpha, 3, 1, 500)
+
+
 @pytest.mark.parametrize(
     "kernel, sampler, alpha",
     [

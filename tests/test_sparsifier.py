@@ -10,7 +10,6 @@ from oks.logvalue import is_log_zero
 from oks.sparsifier import (
     BLOCK,
     Dictionary,
-    GrowthTrace,
     NumericalConsistencyError,
     check_alpha_compatible,
     kstar_oracle,
@@ -163,16 +162,6 @@ def test_stream_matches_dense_reference_run():
             sizes.append(len(members))
     assert sizes == [int(s) for s in trace.dict_size]
     assert np.array_equal(d.members, np.array(members))
-
-
-def test_growth_trace_csv_round_trip(tmp_path):
-    trace = GrowthTrace.from_records([(5, 2, -0.5), (10, 3, -1.25)])
-    path = str(tmp_path / "trace.csv")
-    trace.to_csv(path)
-    back = GrowthTrace.from_csv(path)
-    assert np.array_equal(back.samples, trace.samples)
-    assert np.array_equal(back.dict_size, trace.dict_size)
-    assert np.array_equal(back.log_det, trace.log_det)
 
 
 # --- numerical agreement with dense projections --------------------------------

@@ -1,4 +1,4 @@
-"""The DP table is checked against subset enumeration throughout: the
+"""The DP rows are checked against subset enumeration throughout: the
 enumeration oracle is the ground truth for every frozen value here."""
 
 import io
@@ -14,9 +14,10 @@ from oks.symfun import (
     Spectrum,
     decay_bound,
     esp_brute,
-    esp_table,
     log_nu,
+    log_nu_row,
     nu_geometric,
+    nu_rows,
     tail_sum,
 )
 
@@ -60,36 +61,38 @@ def test_spectrum_csv_header_line():
     assert buf.getvalue().splitlines()[0] == "# tail=0.25"
 
 
-# --- esp_table ---------------------------------------------------------------
+# --- nu_rows / log_nu_row ------------------------------------------------------
 
 def test_esp_table_example():
     # 2! * (3*2 + 3*1 + 2*1) = 22, by direct enumeration of the 2-subsets
-    t = esp_table(spectrum(3.0, 2.0, 1.0), 2)
-    assert t.value(3, 2) == pytest.approx(math.log(22.0), rel=1e-13)
+    row = log_nu_row(spectrum(3.0, 2.0, 1.0), 2)
+    assert row[2] == pytest.approx(math.log(22.0), rel=1e-13)
 
 
 def test_esp_table_k0_column():
-    t = esp_table(spectrum(2.0, 1.0, 0.5), 3)
-    for n in range(4):
-        assert t.value(n, 0) == 0.0
+    rows = [row[0] for row in nu_rows([spectrum(2.0, 1.0, 0.5).values], 3)]
+    assert rows == [0.0] * 4
 
 
 def test_esp_table_k1_is_trace():
     s = spectrum(2.0, 1.0, 0.25)
-    t = esp_table(s, 1)
-    assert t.final(1) == pytest.approx(math.log(3.25), rel=1e-13)
+    row = log_nu_row(s, 1)
+    assert row[1] == pytest.approx(math.log(3.25), rel=1e-13)
 
 
 def test_esp_table_zero_propagation():
     # r nonzero values: every (r+1)-subset contains a zero
-    t = esp_table(spectrum(2.0, 1.0, 0.0, 0.0), 3)
-    assert is_log_zero(t.final(3))
-    assert not is_log_zero(t.final(2))
+    row = log_nu_row(spectrum(2.0, 1.0, 0.0, 0.0), 3)
+    assert is_log_zero(row[3])
+    assert not is_log_zero(row[2])
 
 
 def test_esp_table_k_exceeds_length():
+    # columns beyond the spectrum length are the zero state, as in log_nu
+    row = log_nu_row(spectrum(1.0), 2)
+    assert row[0] == 0.0 and row[1] == 0.0 and is_log_zero(row[2])
     with pytest.raises(ValueError):
-        esp_table(spectrum(1.0), 2)
+        log_nu_row(spectrum(1.0), -1)
 
 
 def test_esp_table_monotone_in_n():
@@ -97,8 +100,8 @@ def test_esp_table_monotone_in_n():
     for _ in range(25):
         n = int(rng.integers(1, 10))
         vals = np.sort(rng.uniform(0, 3, n))[::-1]
-        t = esp_table(Spectrum(vals), n)
-        lv = t.log_values
+        lv = np.array([row.copy() for row in nu_rows([vals], n)])
+        assert lv.shape == (n + 1, n + 1)
         assert np.all(lv[1:] >= lv[:-1] - 1e-12)
 
 
@@ -133,7 +136,10 @@ def test_dp_matches_enumeration(values, k):
     vals = np.sort(np.array(values))[::-1]
     k = min(k, len(vals))
     s = Spectrum(vals)
-    assert close_log(esp_table(s, k).final(k), esp_brute(s, k))
+    assert close_log(log_nu_row(s, k)[k], esp_brute(s, k))
+    # every prefix row holds nu over exactly the first n values
+    for n, row in enumerate(nu_rows([vals], k)):
+        assert close_log(row[k], esp_brute(Spectrum(vals[:n]), k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -141,8 +147,8 @@ def test_dp_matches_enumeration(values, k):
 def test_scaling_shifts_log_by_k_log_c(values, c):
     vals = np.sort(np.array(values))[::-1]
     k = len(vals) // 2 + 1
-    base = esp_table(Spectrum(vals), k).final(k)
-    scaled = esp_table(Spectrum(vals * c), k).final(k)
+    base = log_nu_row(Spectrum(vals), k)[k]
+    scaled = log_nu_row(Spectrum(vals * c), k)[k]
     assert scaled == pytest.approx(base + k * math.log(c), rel=1e-10, abs=1e-10)
 
 
@@ -153,8 +159,7 @@ def test_newton_and_maclaurin_random_spectra():
     for _ in range(100):
         n = int(rng.integers(3, 12))
         vals = np.sort(rng.uniform(0.05, 3.0, n))[::-1]
-        t = esp_table(Spectrum(vals), n)
-        nus = [t.final(k) for k in range(n + 1)]
+        nus = log_nu_row(Spectrum(vals), n)
         for k in range(1, n):
             assert 2 * nus[k] >= nus[k - 1] + nus[k + 1] - 1e-10
             assert nus[k] / k >= nus[k + 1] / (k + 1) - 1e-10
@@ -172,11 +177,11 @@ def test_tail_sum_examples():
 
 def test_decay_bound_example():
     s = spectrum(1.0, 0.5, 0.25)
-    t = esp_table(s, 2)
-    bound = decay_bound(t.final(1), 1, 1, tail_sum(s, 1))
+    row = log_nu_row(s, 2)
+    bound = decay_bound(row[1], 1, 1, tail_sum(s, 1))
     # 1.75 * 0.75 * C(2,1) = 2.625, all three factors by direct evaluation
     assert bound == pytest.approx(math.log(2.625), rel=1e-13)
-    assert t.final(2) <= bound  # true nu_2 = 1.75
+    assert row[2] <= bound  # true nu_2 = 1.75
 
 
 def test_decay_bound_empty_tail():
@@ -190,11 +195,11 @@ def test_decay_bound_s_zero_is_identity():
 
 def test_decay_bound_dominates_table():
     s = spectrum(2.0, 1.0, 0.5, 0.25, 0.125)
-    t = esp_table(s, 5)
+    row = log_nu_row(s, 5)
     for k in range(0, 4):
         for sdx in range(1, 5 - k + 1):
-            b = decay_bound(t.final(k), k, sdx, tail_sum(s, k))
-            assert t.final(k + sdx) <= b + 1e-12
+            b = decay_bound(row[k], k, sdx, tail_sum(s, k))
+            assert row[k + sdx] <= b + 1e-12
 
 
 # --- nu_geometric ------------------------------------------------------------
@@ -213,16 +218,16 @@ def test_nu_geometric_validated_against_truncated_table():
     # closed form vs the DP on a 60-term truncation of lam_i = sigma**-i
     for sigma in (2.0, 3.0):
         vals = np.power(sigma, -np.arange(1, 61, dtype=float))
-        t = esp_table(Spectrum(vals), 12)
+        row = log_nu_row(Spectrum(vals), 12)
         for k in range(1, 13):
-            assert nu_geometric(sigma, k) == pytest.approx(t.final(k), rel=1e-10, abs=1e-10)
+            assert nu_geometric(sigma, k) == pytest.approx(row[k], rel=1e-10, abs=1e-10)
 
 
 def test_super_exponential_decay_geometric():
     # log nu_k - k log alpha eventually strictly decreases (sigma=2, alpha=0.5)
     vals = np.power(2.0, -np.arange(1, 81, dtype=float))
-    t = esp_table(Spectrum(vals), 40)
-    seq = np.array([t.final(k) - k * math.log(0.5) for k in range(1, 41)])
+    row = log_nu_row(Spectrum(vals), 40)
+    seq = np.array([row[k] - k * math.log(0.5) for k in range(1, 41)])
     diffs = np.diff(seq)
     decreasing = np.where(diffs < 0)[0]
     assert decreasing.size > 0
