@@ -20,8 +20,9 @@ from functools import lru_cache
 from typing import IO, Callable, Iterable, Sequence, Union
 
 import numpy as np
+from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as the sparsifier's
 
-from .kernels import KernelSpec, gram, gram_cross, kernel_diag, log_det_psd, logdet_psd_stack
+from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
 from .sparsifier import GrowthTrace, kstar_oracle, run_checkpoints, run_stream
 from .symfun import Spectrum
@@ -313,6 +314,13 @@ class NystromComparison:
     ``log_det_nystrom`` is the dense pivoted value of :func:`log_det_psd` on
     the random subset's Gram matrix; ``-inf`` there means the subset is
     singular at ``DEFAULT_PIVOT_TOL`` relative to its largest diagonal entry.
+
+    Each approximation of the Gram matrix G of the points X is G_hat = F^T F:
+    F = L^-1 K(D, X) from the dictionary's factor L, and F = W^-1/2 V^T K(S, X)
+    over the eigenpairs (W, V) of K(S, S) above 1e-12 of the largest (the
+    others count in ``nystrom_clamped``).  E = G - G_hat is PSD, so each
+    ``entrywise_err`` is max_i E_ii, and each ``spectral_err`` is
+    :func:`power_iteration_norm` of the operator v -> G v - F^T (F v).
     """
 
     oks_size: int
@@ -323,11 +331,12 @@ class NystromComparison:
     spectral_err_oks: float
     spectral_err_nystrom: float
     entrywise_bound: float
-    nystrom_clamped: int  # eigendirections tol-clamped when inverting the random subset's Gram
+    nystrom_clamped: int
 
 
-def power_iteration_norm(a: np.ndarray, max_iter: int = 200, rtol: float = 1e-9) -> float:
-    """Spectral norm of a symmetric matrix by power iteration.
+def power_iteration_norm(a, max_iter: int = 200, rtol: float = 1e-9) -> float:
+    """Spectral norm of a symmetric matrix, or of any operator with ``.shape``
+    and ``@``, by power iteration.
 
     Stops after ``max_iter`` steps or when the Rayleigh quotient changes by
     less than ``rtol`` relatively, whichever comes first; deterministic
@@ -343,34 +352,27 @@ def power_iteration_norm(a: np.ndarray, max_iter: int = 200, rtol: float = 1e-9)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
-        rho_new = float(v @ w)
+        rho, rho_old = float(v @ w), rho
         v = w / norm
-        if abs(rho_new - rho) <= rtol * abs(rho_new):
-            rho = rho_new
+        if abs(rho - rho_old) <= rtol * abs(rho):
             break
-        rho = rho_new
     return abs(rho)
 
 
-def _projection_gram(
-    kernel: KernelSpec, pts: np.ndarray, sub: np.ndarray, tol: float = 1e-12
-) -> tuple[np.ndarray, int]:
-    """Gram of the projections onto span(sub): K_ns K_ss^+ K_sn.
+class _LowRankError:
+    """E = G - F^T F as the operator v -> G v - F^T (F v), never formed.  E is
+    PSD, so |E_ij| <= sqrt(E_ii E_jj) puts its largest entry on the diagonal."""
 
-    The subset Gram inverse is tol-pivoted through its eigendecomposition;
-    the number of clamped directions is reported.
-    """
-    n = pts.shape[0]
-    if sub.shape[0] == 0:
-        return np.zeros((n, n)), 0
-    k_ns = gram_cross(kernel, pts, sub)
-    k_ss = gram(kernel, sub)
-    w, vecs = np.linalg.eigh(k_ss)
-    keep = w > tol * max(float(w[-1]), 0.0)
-    clamped = int(w.size - keep.sum())
-    basis = k_ns @ vecs[:, keep]
-    ghat = (basis / w[keep]) @ basis.T
-    return 0.5 * (ghat + ghat.T), clamped
+    def __init__(self, g: np.ndarray, f: np.ndarray):
+        self.g, self.f, self.shape = g, f, g.shape
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.g @ v - self.f.T @ (self.f @ v)
+
+    def norms(self) -> tuple[float, float]:
+        """Largest entry (clamped at 0 against rounding) and spectral norm."""
+        diag = self.g.diagonal() - np.einsum("ij,ij->j", self.f, self.f)
+        return max(float(diag.max()), 0.0), power_iteration_norm(self)
 
 
 def nystrom_compare(
@@ -382,28 +384,22 @@ def nystrom_compare(
         raise ValueError("n must lie in [1, 3000] (dense n x n work)")
     pts = sampler.points(n)
     d, _ = run_stream(kernel, alpha, pts)
-    size = len(d)
-    sub_rng = np.random.Generator(
-        np.random.Philox(key=[sampler.seed & 0xFFFFFFFFFFFFFFFF, _SUBSET_LANE])
-    )
-    rand_idx = np.sort(sub_rng.choice(n, size=size, replace=False))
+    key = [sampler.seed & 0xFFFFFFFFFFFFFFFF, _SUBSET_LANE]
+    picked = np.random.Generator(np.random.Philox(key=key)).choice(n, size=len(d), replace=False)
+    sub = pts[np.sort(picked)]
     g = gram(kernel, pts)
-
-    ghat_oks, _ = _projection_gram(kernel, pts, d.members)
-    ghat_nys, clamped = _projection_gram(kernel, pts, pts[rand_idx])
-    err_oks = g - ghat_oks
-    err_nys = g - ghat_nys
-    bound = 2.0 * math.sqrt(float(kernel_diag(kernel, pts).max())) * math.sqrt(alpha)
+    f_oks = linalg.solve_triangular(d.factor, gram_cross(kernel, d.members, pts), lower=True)
+    k_ss = gram(kernel, sub)
+    w, vecs = np.linalg.eigh(k_ss)
+    keep = w > 1e-12 * w.max(initial=0.0)
+    f_nys = (vecs[:, keep] / np.sqrt(w[keep])).T @ gram_cross(kernel, sub, pts)
+    (e_oks, s_oks), (e_nys, s_nys) = (_LowRankError(g, f).norms() for f in (f_oks, f_nys))
     return NystromComparison(
-        oks_size=size,
-        log_det_oks=d.log_det,
-        log_det_nystrom=log_det_psd(gram(kernel, pts[rand_idx])),
-        entrywise_err_oks=float(np.abs(err_oks).max()),
-        entrywise_err_nystrom=float(np.abs(err_nys).max()),
-        spectral_err_oks=power_iteration_norm(err_oks),
-        spectral_err_nystrom=power_iteration_norm(err_nys),
-        entrywise_bound=bound,
-        nystrom_clamped=clamped,
+        oks_size=len(d), log_det_oks=d.log_det, log_det_nystrom=log_det_psd(k_ss),
+        entrywise_err_oks=e_oks, entrywise_err_nystrom=e_nys,
+        spectral_err_oks=s_oks, spectral_err_nystrom=s_nys,
+        entrywise_bound=2.0 * math.sqrt(float(g.diagonal().max())) * math.sqrt(alpha),
+        nystrom_clamped=int(w.size - keep.sum()),
     )
 
 

@@ -2,8 +2,9 @@
 
 A fitted model is linear in the features psi(x) = (k(x, d_1), ...,
 k(x, d_m)) given by raw kernel evaluations against the dictionary members.
-The least-squares problem is solved through an orthogonal factorization of
-the (optionally ridge-augmented) design, never through normal equations.
+The least-squares problem is solved through one Householder QR of
+[design | target], never through normal equations.  The top of R's last
+column is Q^T y, so Q is never formed: one back substitution gives weights.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence, Union
 
 import numpy as np
+from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as the sparsifier's
 
 from .kernels import gram_cross
 from .sparsifier import Dictionary
@@ -72,9 +74,11 @@ class RegressionModel:
 def fit(dictionary: Dictionary, xs, ys, ridge: float = 0.0) -> RegressionModel:
     """Least-squares weights over dictionary features.
 
-    With ridge > 0 the design is augmented with sqrt(ridge) * I, which keeps
-    the solve a single orthogonal factorization.  A rank-deficient design
-    with ridge = 0 is reported as an error (resolvable by any ridge > 0).
+    With ridge > 0 the design gains the rows sqrt(ridge) * I and has full
+    column rank; the m weights solve R[:m, :m] w = R[:m, m].  With ridge = 0
+    a rank-deficient design raises (any ridge > 0 resolves it) by the rule of
+    ``np.linalg.lstsq``: of the singular values of R[:m, :m], the design's
+    own, those at most eps * max(n, m) times the largest count as zero.
     """
     if len(dictionary) < 1:
         raise ValueError("dictionary must be nonempty")
@@ -84,18 +88,19 @@ def fit(dictionary: Dictionary, xs, ys, ridge: float = 0.0) -> RegressionModel:
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.size or ys.size < 1:
         raise ValueError("need equally many points and labels, at least one")
-    psi = features(dictionary, xs)
-    m = psi.shape[1]
+    n, m = ys.size, len(dictionary)
+    aug = np.zeros((n + m if ridge > 0 else n, m + 1), order="F")  # factorized in place
+    aug[:n, :m] = features(dictionary, xs)
+    aug[:n, m] = ys
     if ridge > 0:
-        design = np.vstack([psi, np.sqrt(ridge) * np.eye(m)])
-        target = np.concatenate([ys, np.zeros(m)])
-    else:
-        design, target = psi, ys
-    weights, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if ridge == 0 and rank < m:
-        raise np.linalg.LinAlgError(
-            f"design has rank {rank} < {m}; refit with ridge > 0"
-        )
+        aug[np.arange(n, n + m), np.arange(m)] = np.sqrt(ridge)
+    (_, _), r = linalg.qr(aug, mode="raw", overwrite_a=True, check_finite=False)
+    if ridge == 0:
+        sv = np.linalg.svd(r[:m, :m], compute_uv=False)
+        rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(n, m) * sv[0]))
+        if rank < m:
+            raise np.linalg.LinAlgError(f"design has rank {rank} < {m}; refit with ridge > 0")
+    weights = linalg.solve_triangular(r[:m, :m], r[:m, m], check_finite=False)
     return RegressionModel(dictionary, weights, float(ridge))
 
 

@@ -142,6 +142,7 @@ class Dictionary:
         before any later row is admitted.
         """
         pts = self._checked(points)
+        self._dim = pts.shape[1]  # kept even when every row is rejected
         out = np.empty(pts.shape[0])
         for s in range(0, pts.shape[0], BLOCK):
             out[s : s + BLOCK] = self._extend_block(pts[s : s + BLOCK])
@@ -206,7 +207,6 @@ class Dictionary:
         self._fac[n, n] = root
         self._pts[n] = x
         self._n = n + 1
-        self._dim = x.shape[0]
         self.log_det += math.log(delta)
 
     def _checked(self, points) -> np.ndarray:
@@ -215,8 +215,8 @@ class Dictionary:
             raise ValueError("expected an (m, d) array of points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
-        if self._n and pts.shape[1] != self._dim:
-            raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, members have {self._dim}")
+        if self._dim is not None and pts.shape[1] != self._dim:
+            raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, the dictionary has {self._dim}")
         return pts
 
     def _ensure_capacity(self, n: int, dim: int) -> None:
@@ -423,8 +423,7 @@ def load_dictionary(csv_path: str, json_path: str | None = None) -> Dictionary:
         if not header.startswith("x0"):
             raise ValueError("dictionary snapshot is missing its header row")
         rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    if rows:
-        d.extend(rows)
+    d.extend(np.array(rows, dtype=float).reshape(len(rows), len(header.split(","))))
     if len(d) != len(rows):
         raise ValueError("snapshot member failed to re-admit; file is corrupt")
     if len(d) != int(sidecar["size"]):

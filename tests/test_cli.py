@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oks
 from oks.cli import main
 from oks.regress import write_labeled_csv
+from oks.sparsifier import load_dictionary
 
 
 @pytest.fixture
@@ -100,6 +106,17 @@ def test_oks_run_out_writes_dictionary_snapshot(inputs, tmp_path, capsys):
     assert json.loads((tmp_path / "run.csv.dict.json").read_text())["alpha"] == 0.05
 
 
+def test_oks_run_snapshot_of_empty_dictionary_loads_back(inputs, tmp_path, capsys):
+    # an rbf kernel has k(x, x) = 1, so alpha = 2 rejects every point
+    out = tmp_path / "run.csv"
+    rc, _, _ = _run(capsys, ["oks-run", "--kernel", "rbf:1.0", "--alpha", "2.0",
+                             "--data", inputs["points"], "--out", str(out)])
+    assert rc == 0
+    back = load_dictionary(str(tmp_path / "run.csv.dict.csv"), str(tmp_path / "run.csv.dict.json"))
+    assert len(back) == 0
+    assert back.members.shape == (0, 2)
+
+
 def test_esp_beyond_spectrum_length_is_zero_state(capsys):
     # nu_1 = 3 and nu_2 = 2! * (2 * 1) = 4 over two values; nu_3 = 0 exactly
     rc, stdout, _ = _run(capsys, ["esp", "--spectrum", "explicit:2,1", "--k", "3"])
@@ -161,6 +178,18 @@ def test_missing_file_exits_1(args, tmp_path, capsys):
     assert err
 
 
+def test_regress_rank_deficient_without_ridge_exits_1(tmp_path, capsys):
+    # both points are admitted, but the design diag(1e16, 1) has a singular
+    # value ratio below eps * 2, so it is rank 1 by the lstsq rule
+    data = tmp_path / "scaled.csv"
+    write_labeled_csv(str(data), np.array([[1e8, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+    rc, stdout, err = _run(capsys, ["regress", "--kernel", "linear", "--alpha", "0.5",
+                                    "--data", str(data), "--ridge", "0"])
+    assert rc == 1
+    assert stdout == ""
+    assert "rank" in err
+
+
 # --- exit code 2: validation failure -----------------------------------------------
 
 def test_regress_with_empty_dictionary_exits_2(inputs, tmp_path, capsys):
@@ -208,3 +237,16 @@ def test_input_hash_follows_data_bytes(command, inputs, tmp_path, capsys):
     with open(inputs["points"], "a") as fh:
         fh.write("0.25,-0.5\n")
     assert input_hash("changed") != first
+
+
+# --- start-up cost ---------------------------------------------------------------
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # every command pays for `import oks.cli`; scipy.sparse alone would add
+    # tens of milliseconds to it
+    src = str(Path(oks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, oks.cli; print('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout.strip() == "False"

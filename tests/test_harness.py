@@ -1,11 +1,13 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oks.harness import (
+    _SUBSET_LANE,
     McEstimate,
     Sampler,
     content_hash,
@@ -19,7 +21,7 @@ from oks.harness import (
     write_csv,
     write_manifest,
 )
-from oks.kernels import gram, linear, polynomial, power, rbf
+from oks.kernels import gram, gram_cross, linear, polynomial, power, rbf
 from oks.sparsifier import check_alpha_compatible, kstar_oracle, run_stream
 from oks.symfun import Spectrum
 
@@ -260,6 +262,77 @@ def test_nystrom_entrywise_bound_holds():
         rec = nystrom_compare(s, kernel, alpha, 200)
         assert rec.entrywise_err_oks < rec.entrywise_bound
         assert rec.log_det_oks > rec.oks_size * math.log(alpha)
+
+
+def _dense_projection_gram(kernel, pts, sub):
+    """K_ns K_ss^+ K_sn, with directions below 1e-12 of the largest dropped."""
+    w, vecs = np.linalg.eigh(gram(kernel, sub))
+    keep = w > 1e-12 * w[-1]
+    basis = gram_cross(kernel, pts, sub) @ vecs[:, keep]
+    return (basis / w[keep]) @ basis.T
+
+
+@pytest.mark.parametrize(
+    "seed,kernel,alpha",
+    [
+        (1, rbf(1.0), 0.01),
+        (2, rbf(0.5), 0.05),
+        (3, linear(), 0.1),
+        (4, polynomial(2, 1.0, 0.5), 0.05),
+        (5, power(rbf(1.0), 2), 0.02),
+    ],
+    ids=["rbf1", "rbf05", "linear", "poly", "pow"],
+)
+def test_nystrom_errors_match_dense_error_matrices(seed, kernel, alpha):
+    # the five configurations of test_nystrom_entrywise_bound_holds, against
+    # E = G - G_hat formed densely.  Under linear and poly the dictionary
+    # spans the whole feature space, so E is 0 in exact arithmetic and both
+    # sides are rounding noise (the dense poly side reads 2.3e-10 next to
+    # max |G| = 33); the absolute term is a rounding floor at G's scale.
+    n = 200
+    s = Sampler.gaussian_input(2, 1.0, seed)
+    rec = nystrom_compare(s, kernel, alpha, n)
+    pts = s.points(n)
+    d, _ = run_stream(kernel, alpha, pts)
+    sub_rng = np.random.Generator(np.random.Philox(key=[seed, _SUBSET_LANE]))
+    sub = pts[np.sort(sub_rng.choice(n, size=len(d), replace=False))]
+    g = gram(kernel, pts)
+    for ghat, entrywise, spectral in (
+        (_dense_projection_gram(kernel, pts, d.members), rec.entrywise_err_oks, rec.spectral_err_oks),
+        (_dense_projection_gram(kernel, pts, sub), rec.entrywise_err_nystrom, rec.spectral_err_nystrom),
+    ):
+        e = g - ghat
+        floor = 1e-10 * np.abs(g).max()
+        assert entrywise == pytest.approx(np.abs(e).max(), rel=1e-8, abs=floor)
+        assert spectral == pytest.approx(np.linalg.norm(e, 2), rel=1e-8, abs=floor)
+
+
+def test_nystrom_with_empty_dictionary():
+    # rbf has k(x, x) = 1, so alpha = 2 rejects every point: both
+    # approximations are 0 and each error is G's own
+    s = Sampler.gaussian_input(1, 1.0, 1)
+    rec = nystrom_compare(s, rbf(1.0), 2.0, 50)
+    assert rec.oks_size == 0
+    assert rec.log_det_oks == 0.0
+    assert rec.log_det_nystrom == 0.0
+    assert rec.entrywise_err_oks == rec.entrywise_err_nystrom == 1.0
+    assert rec.spectral_err_oks == rec.spectral_err_nystrom
+    assert rec.spectral_err_oks == pytest.approx(31.611635446679745, rel=1e-12)
+    assert rec.spectral_err_oks == pytest.approx(np.linalg.norm(gram(rbf(1.0), s.points(50)), 2), rel=1e-8)
+    assert rec.nystrom_clamped == 0
+
+
+def test_nystrom_holds_no_second_dense_matrix():
+    # G at n = 1000 takes 7.6 MiB; one more n x n matrix per error term
+    # (G_hat or E) would pass the limit
+    s = Sampler.gaussian_input(1, 1.0, 1)
+    tracemalloc.start()
+    try:
+        nystrom_compare(s, rbf(1.0), 0.01, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_nystrom_is_deterministic():

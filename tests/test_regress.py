@@ -86,6 +86,46 @@ def test_rank_deficient_without_ridge_raises():
     fit(d, xs, np.array([1.0, 1.0, 1.0]), ridge=0.1)  # resolvable by ridge
 
 
+@pytest.mark.parametrize("ridge", [0.0, 1e-3, 1.0])
+def test_fit_matches_lstsq_on_augmented_design(ridge):
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((150, 2))
+    ys = np.sin(xs[:, 0]) + 0.1 * rng.standard_normal(150)
+    d, _ = run_stream(rbf(1.0), 0.3, xs)
+    psi = features(d, xs)
+    m = len(d)
+    design = np.vstack([psi, np.sqrt(ridge) * np.eye(m)]) if ridge else psi
+    target = np.concatenate([ys, np.zeros(m)]) if ridge else ys
+    expected, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    assert rank == m
+    weights = fit(d, xs, ys, ridge=ridge).weights
+    assert np.linalg.norm(weights - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_fewer_points_than_weights_without_ridge_raises():
+    d = full_dictionary(linear(), np.eye(3), alpha=0.5)
+    xs = np.eye(3)[:2]
+    with pytest.raises(np.linalg.LinAlgError, match="rank"):
+        fit(d, xs, np.ones(2), ridge=0.0)
+    assert fit(d, xs, np.ones(2), ridge=0.1).weights.shape == (3,)
+
+
+def test_rank_rule_is_the_lstsq_cutoff():
+    # the design's two columns differ in scale by 1/s; lstsq counts a singular
+    # value as zero when at most eps * max(n, m) = 100 eps times the largest
+    eps = np.finfo(float).eps
+    xs = np.tile(np.eye(2), (50, 1))
+    ys = np.ones(100)
+    for gap, rank in ((10.0, 1), (1000.0, 2)):
+        d = full_dictionary(linear(), np.array([[1 / (gap * eps), 0.0], [0.0, 1.0]]), alpha=0.5)
+        assert np.linalg.lstsq(features(d, xs), ys, rcond=None)[2] == rank
+        if rank < 2:
+            with pytest.raises(np.linalg.LinAlgError, match="rank 1 < 2"):
+                fit(d, xs, ys, ridge=0.0)
+        else:
+            assert np.all(np.isfinite(fit(d, xs, ys, ridge=0.0).weights))
+
+
 def test_ridge_shrinks_weights():
     rng = np.random.default_rng(7)
     xs = rng.standard_normal((60, 2))

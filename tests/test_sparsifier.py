@@ -435,3 +435,21 @@ def test_snapshot_round_trip(tmp_path):
     assert np.array_equal(back.members, d.members)
     assert back.log_det == pytest.approx(d.log_det, abs=1e-10)
     assert back.kernel == d.kernel
+
+
+def test_snapshot_round_trip_of_empty_dictionary(tmp_path):
+    # rbf has k(x, x) = 1, so alpha = 2 rejects every point; the dimension
+    # is still recorded, written to the header, and read back
+    d, _ = run_stream(rbf(1.0), 2.0, np.random.default_rng(5).standard_normal((20, 3)))
+    assert len(d) == 0
+    assert d.members.shape == (0, 3)
+    csv_path = str(tmp_path / "dict.csv")
+    save_dictionary(d, csv_path)
+    assert (tmp_path / "dict.csv").read_text() == "x0,x1,x2\n"
+    back = load_dictionary(csv_path)
+    assert len(back) == 0
+    assert back.members.shape == (0, 3)
+    assert back.log_det == 0.0
+    assert back.kernel == d.kernel
+    with pytest.raises(ValueError):
+        back.extend(np.zeros((1, 2)))
