@@ -264,55 +264,31 @@ def _cmd_bound(eff: dict) -> int:
     return 0
 
 
-def _cmd_mc_gram(eff: dict) -> int:
+def _mc_row(eff: dict, subcommand: str, estimator: Callable, echoed: Sequence[str],
+            stat: str = "mean") -> int:
+    """One CSV row for a Monte Carlo estimator called as
+    ``estimator(sampler, kernel, *echoed options, trials)``."""
     started = time.monotonic()
     kernel = _parse_kernel(eff["kernel"])
     sampler = _parse_sampler(eff["sampler"], eff["seed"])
-    est = mc_expected_gram_det(sampler, kernel, eff["k"], eff["trials"])
-    _emit(
-        eff,
-        "mc-gram",
-        _csv(
-            ["kernel", "sampler", "k", "trials", "seed", "mean", "std_error"],
-            [(eff["kernel"], eff["sampler"], eff["k"], est.trials, eff["seed"], est.mean, est.std_error)],
-        ),
-        started=started,
-    )
+    opts = [eff[name] for name in echoed]
+    est = estimator(sampler, kernel, *opts, eff["trials"])
+    header = ["kernel", "sampler", *echoed, "trials", "seed", stat, "std_error"]
+    row = [eff["kernel"], eff["sampler"], *opts, est.trials, eff["seed"], est.mean, est.std_error]
+    _emit(eff, subcommand, _csv(header, [row]), started=started)
     return 0
+
+
+def _cmd_mc_gram(eff: dict) -> int:
+    return _mc_row(eff, "mc-gram", mc_expected_gram_det, ["k"])
 
 
 def _cmd_mc_moment(eff: dict) -> int:
-    started = time.monotonic()
-    kernel = _parse_kernel(eff["kernel"])
-    sampler = _parse_sampler(eff["sampler"], eff["seed"])
-    est = mc_det_moment(sampler, kernel, eff["k"], eff["m"], eff["trials"])
-    _emit(
-        eff,
-        "mc-moment",
-        _csv(
-            ["kernel", "sampler", "k", "m", "trials", "seed", "mean", "std_error"],
-            [(eff["kernel"], eff["sampler"], eff["k"], eff["m"], est.trials, eff["seed"], est.mean, est.std_error)],
-        ),
-        started=started,
-    )
-    return 0
+    return _mc_row(eff, "mc-moment", mc_det_moment, ["k", "m"])
 
 
 def _cmd_kstar_tail(eff: dict) -> int:
-    started = time.monotonic()
-    kernel = _parse_kernel(eff["kernel"])
-    sampler = _parse_sampler(eff["sampler"], eff["seed"])
-    est = mc_kstar_tail(sampler, kernel, eff["alpha"], eff["n"], eff["k"], eff["trials"])
-    _emit(
-        eff,
-        "kstar-tail",
-        _csv(
-            ["kernel", "sampler", "alpha", "n", "k", "trials", "seed", "estimate", "std_error"],
-            [(eff["kernel"], eff["sampler"], eff["alpha"], eff["n"], eff["k"], est.trials, eff["seed"], est.mean, est.std_error)],
-        ),
-        started=started,
-    )
-    return 0
+    return _mc_row(eff, "kstar-tail", mc_kstar_tail, ["alpha", "n", "k"], stat="estimate")
 
 
 def _parse_checkpoints(text: str | None, n: int) -> list[int]:

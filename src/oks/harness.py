@@ -1,10 +1,10 @@
 """Samplers, Monte Carlo estimators, and end-to-end validation experiments.
 
 Reproducibility contract: every trial draws its randomness from a
-counter-based Philox stream keyed by (master seed, trial index), and trial
-results are reduced in trial order.  Serial and thread-parallel execution
-(capped by the ``OKS_THREADS`` environment variable, 0 = serial) therefore
-produce bit-identical estimates.
+counter-based Philox stream keyed by (master seed, trial index), each trial's
+value is computed on its own, and the values are reduced in trial order.
+Estimates are therefore bit-identical across runs and whatever the chunk
+size that bounds the memory of one batch of trials.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Callable, Iterable, Sequence, Union
@@ -38,7 +37,6 @@ __all__ = [
     "growth_experiment",
     "nystrom_compare",
     "power_iteration_norm",
-    "thread_count",
     "write_csv",
     "format_cell",
     "content_hash",
@@ -49,16 +47,6 @@ _CHUNK = 2048
 _MASTER_LANE = 0
 _TRIAL_LANE_BASE = 1
 _SUBSET_LANE = 2**62  # reserved stream for the Nystrom subset draw
-
-
-def thread_count() -> int:
-    """Worker cap from OKS_THREADS (0 or unset = serial)."""
-    raw = os.environ.get("OKS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"OKS_THREADS must be an integer, got {raw!r}") from None
-    return max(value, 0)
 
 
 @dataclass(frozen=True)
@@ -98,13 +86,6 @@ class Sampler:
     @classmethod
     def dataset(cls, path: str, seed: int = 0) -> "Sampler":
         return cls("dataset", int(seed), path=str(path))
-
-    def dimension(self) -> int:
-        if self.kind == "diag_gaussian":
-            return self.spectrum.size
-        if self.kind == "gaussian_input":
-            return self.dim
-        return dataset_rows(self.path).shape[1]
 
     def points(self, n: int, trial: int | None = None) -> np.ndarray:
         """First n points of the master stream, or of trial stream ``trial``."""
@@ -179,23 +160,15 @@ class McEstimate:
 
 
 def _run_chunked(trials: int, chunk_fn: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Evaluate per-trial values in chunks, serially or on a thread pool.
+    """Per-trial values, evaluated in order over spans of ``_CHUNK`` trials.
 
-    Results land in a preallocated array indexed by trial, so the reduction
-    order never depends on scheduling.
+    The spans only bound the memory of one batch; each trial's value does
+    not depend on which span holds it.
     """
     out = np.empty(trials, dtype=float)
-    spans = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
-    workers = thread_count()
-    if workers > 1 and len(spans) > 1:
-        def work(span):
-            s, e = span
-            out[s:e] = chunk_fn(s, e)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, spans))
-    else:
-        for s, e in spans:
-            out[s:e] = chunk_fn(s, e)
+    for s in range(0, trials, _CHUNK):
+        e = min(s + _CHUNK, trials)
+        out[s:e] = chunk_fn(s, e)
     return out
 
 
@@ -207,10 +180,16 @@ def _estimate(values: np.ndarray) -> McEstimate:
     )
 
 
-def _stacked_dets(sampler: Sampler, kernel: KernelSpec, k: int, s: int, e: int) -> np.ndarray:
-    pts = np.stack([sampler.points(k, trial=t) for t in range(s, e)])
-    ld = logdet_psd_stack(gram(kernel, pts))
-    return ld  # log scale; exp(-inf) = 0 exactly for singular trials
+def _trial_grams(sampler: Sampler, kernel: KernelSpec, n: int, s: int, e: int) -> np.ndarray:
+    """Stacked Gram matrices of trials s..e-1, each over n points of its own stream."""
+    return gram(kernel, np.stack([sampler.points(n, trial=t) for t in range(s, e)]))
+
+
+def _det_moment(sampler: Sampler, kernel: KernelSpec, k: int, m: int, trials: int) -> McEstimate:
+    # exp(m * log det) per trial; a singular trial's -inf contributes exactly 0
+    return _estimate(_run_chunked(
+        trials, lambda s, e: np.exp(m * logdet_psd_stack(_trial_grams(sampler, kernel, k, s, e)))
+    ))
 
 
 def mc_expected_gram_det(
@@ -222,8 +201,7 @@ def mc_expected_gram_det(
     trials contributing exactly 0.
     """
     _check_mc_args(k, trials)
-    vals = _run_chunked(trials, lambda s, e: np.exp(_stacked_dets(sampler, kernel, k, s, e)))
-    return _estimate(vals)
+    return _det_moment(sampler, kernel, k, 1, trials)
 
 
 def mc_det_moment(
@@ -233,10 +211,7 @@ def mc_det_moment(
     _check_mc_args(k, trials)
     if not 2 <= m <= 3:
         raise ValueError("moment order m must be 2 or 3")
-    vals = _run_chunked(
-        trials, lambda s, e: np.exp(m * _stacked_dets(sampler, kernel, k, s, e))
-    )
-    return _estimate(vals)
+    return _det_moment(sampler, kernel, k, m, trials)
 
 
 def _check_mc_args(k: int, trials: int) -> None:
@@ -280,8 +255,7 @@ def mc_kstar_tail(
     log_alpha = math.log(alpha)
 
     def chunk(s: int, e: int) -> np.ndarray:
-        pts = np.stack([sampler.points(n, trial=t) for t in range(s, e)])
-        g = gram(kernel, pts)
+        g = _trial_grams(sampler, kernel, n, s, e)
         idx = _subset_indices(n, k)
         ld = logdet_psd_stack(g[:, idx[:, :, None], idx[:, None, :]])
         return np.any(ld > k * log_alpha, axis=-1).astype(float)

@@ -197,13 +197,16 @@ def _cross(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if spec.kind == "linear":
         return xs @ ys.swapaxes(-1, -2)
     if spec.kind == "rbf":
-        sq = (
-            np.sum(xs * xs, axis=-1)[..., :, None]
-            + np.sum(ys * ys, axis=-1)[..., None, :]
-            - 2.0 * (xs @ ys.swapaxes(-1, -2))
-        )
+        # |x|^2 + |y|^2 - 2<x, y>, then exp(-sq / (2 bw^2)), with one
+        # temporary beside the output and the rounding of the plain formula
+        ip = xs @ ys.swapaxes(-1, -2)
+        ip *= 2.0
+        sq = np.sum(xs * xs, axis=-1)[..., :, None] + np.sum(ys * ys, axis=-1)[..., None, :]
+        sq -= ip
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.bandwidth**2))
+        np.negative(sq, out=sq)
+        sq /= 2.0 * spec.bandwidth**2
+        return np.exp(sq, out=sq)
     if spec.kind == "poly":
         return (spec.scale * (xs @ ys.swapaxes(-1, -2)) + spec.offset) ** spec.degree
     return _cross(spec.base, xs, ys) ** spec.exponent
@@ -219,7 +222,8 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
         return np.zeros((0, 0))
     pts = _check_points(pts, 2)
     k = _cross(spec, pts, pts)
-    k = 0.5 * (k + k.swapaxes(-1, -2))
+    k += k.swapaxes(-1, -2)  # numpy buffers the overlapping operand: k + k^T
+    k *= 0.5
     idx = np.arange(pts.shape[-2])
     k[..., idx, idx] = kernel_diag(spec, pts)
     return k

@@ -71,11 +71,6 @@ class Spectrum:
     def size(self) -> int:
         return int(self.values.size)
 
-    @property
-    def mass(self) -> float:
-        """Total mass: sum of retained values plus the declared tail."""
-        return float(self.values.sum() + self.declared_tail)
-
     def to_csv(self, target: Union[str, IO[str]]) -> None:
         """One eigenvalue per row, descending, with a ``# tail=`` header when nonzero."""
         if isinstance(target, str):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oks
+from oks import harness
 from oks.cli import main
 from oks.regress import write_labeled_csv
 from oks.sparsifier import load_dictionary
@@ -84,16 +85,27 @@ def test_body_is_identical_across_runs_and_matches_stdout(command, inputs, tmp_p
 
 
 @pytest.mark.parametrize("command", ["mc-gram", "kstar-tail"])
-def test_body_is_identical_across_thread_counts(command, inputs, monkeypatch, capsys):
-    # 5000 trials span three chunks, so two workers really split them
+def test_body_does_not_depend_on_chunk_size(command, inputs, monkeypatch, capsys):
+    # 5000 trials make three default chunks, or 715 chunks of at most 7
     args = _invocations(inputs)[command]
     bodies = []
-    for threads in ("0", "2"):
-        monkeypatch.setenv("OKS_THREADS", threads)
+    for chunk in (harness._CHUNK, 7):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
         rc, stdout, _ = _run(capsys, args)
         assert rc == 0
         bodies.append(stdout)
     assert bodies[0] == bodies[1]
+
+
+def test_mc_gram_ignores_a_stale_thread_variable(inputs, monkeypatch, capsys):
+    # the Monte Carlo path is serial; OKS_THREADS is no longer read
+    args = _invocations(inputs)["mc-gram"]
+    rc, before, _ = _run(capsys, args)
+    assert rc == 0
+    monkeypatch.setenv("OKS_THREADS", "many")
+    rc, after, _ = _run(capsys, args)
+    assert rc == 0
+    assert after == before
 
 
 def test_oks_run_out_writes_dictionary_snapshot(inputs, tmp_path, capsys):

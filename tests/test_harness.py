@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oks import harness
 from oks.harness import (
     _SUBSET_LANE,
     McEstimate,
@@ -175,19 +176,21 @@ def test_mc_kstar_tail_dominated_by_bound():
     assert est.mean <= 0.9375 + 3 * est.std_error
 
 
-def test_mc_results_identical_serial_vs_threads(monkeypatch):
+def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
+    # 1000 trials make one default chunk, or 143 chunks of at most 7
     s = diag_sampler([1.0, 0.5], 13)
-    monkeypatch.setenv("OKS_THREADS", "0")
-    serial = mc_expected_gram_det(s, linear(), 2, 6000)
-    monkeypatch.setenv("OKS_THREADS", "4")
-    threaded = mc_expected_gram_det(s, linear(), 2, 6000)
-    assert serial == threaded
+    g = Sampler.gaussian_input(2, 1.0, 13)
 
+    def estimates():
+        return (
+            mc_expected_gram_det(s, linear(), 2, 1000),
+            mc_det_moment(g, rbf(1.0), 3, 2, 1000),
+            mc_kstar_tail(g, rbf(1.0), 0.9, 5, 3, 1000),
+        )
 
-def test_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("OKS_THREADS", "many")
-    with pytest.raises(ValueError):
-        mc_expected_gram_det(diag_sampler([1.0], 0), linear(), 1, 2000)
+    default = estimates()
+    monkeypatch.setattr(harness, "_CHUNK", 7)
+    assert estimates() == default
 
 
 # --- growth experiment -----------------------------------------------------------

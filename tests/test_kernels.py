@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,41 @@ def test_gram_batched_matches_loop():
     g = gram(rbf(1.0), stack)
     for b in range(4):
         assert np.allclose(g[b], gram(rbf(1.0), stack[b]), rtol=0, atol=0)
+
+
+def test_rbf_gram_peak_stays_below_two_and_a_half_outputs():
+    # inner products and squared distances are the only n x n temporaries
+    pts = np.random.default_rng(5).standard_normal((2000, 1))
+    tracemalloc.start()
+    try:
+        g = gram(rbf(1.0), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * g.nbytes
+
+
+@pytest.mark.parametrize("bw", [0.3, 1.0])
+@pytest.mark.parametrize("shape", [(40, 3), (5, 9, 2)], ids=["plain", "batched"])
+def test_rbf_matrices_equal_the_out_of_place_formula(shape, bw):
+    rng = np.random.default_rng(6)
+    xs = rng.standard_normal(shape)
+    ys = rng.standard_normal(shape[:-2] + (11, shape[-1]))
+
+    def cross(a, b):
+        sq = (
+            np.sum(a * a, axis=-1)[..., :, None]
+            + np.sum(b * b, axis=-1)[..., None, :]
+            - 2.0 * (a @ b.swapaxes(-1, -2))
+        )
+        return np.exp(-np.maximum(sq, 0.0) / (2.0 * bw**2))
+
+    k = cross(xs, xs)
+    k = 0.5 * (k + k.swapaxes(-1, -2))
+    idx = np.arange(shape[-2])
+    k[..., idx, idx] = 1.0
+    assert np.array_equal(gram(rbf(bw), xs), k)
+    assert np.array_equal(gram_cross(rbf(bw), xs, ys), cross(xs, ys))
 
 
 def test_kernel_diag_exact():
