@@ -1,10 +1,17 @@
 """Samplers, Monte Carlo estimators, and end-to-end validation experiments.
 
-Reproducibility contract: every trial draws its randomness from a
-counter-based Philox stream keyed by (master seed, trial index), each trial's
-value is computed on its own, and the values are reduced in trial order.
-Estimates are therefore bit-identical across runs and whatever the chunk
-size that bounds the memory of one batch of trials.
+Reproducibility contract: trial t draws its randomness from the Philox stream
+keyed [seed, 1 + t] (seed taken mod 2**64) with counter 0 and an empty output
+buffer, i.e. from a fresh ``Generator(Philox(key=[seed, 1 + t]))``.  The master
+stream is lane 0 and the Nystrom subset's lane is 2**62, so t lies in
+[0, 2**62 - 1).  Each trial's value is computed on its own, and the values are
+reduced in trial order.  Estimates are therefore bit-identical across runs and
+whatever the chunk size that bounds the memory of one batch of trials.
+
+A batch of trials re-keys one Philox per trial instead of building one per
+trial.  That equals a fresh generator because a Philox's whole state is its
+counter, key and output buffer (with its buffered half-word), all of which
+are reset, and a ``Generator`` keeps no state of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as the sparsifier's
@@ -47,6 +54,32 @@ _CHUNK = 2048
 _MASTER_LANE = 0
 _TRIAL_LANE_BASE = 1
 _SUBSET_LANE = 2**62  # reserved stream for the Nystrom subset draw
+_TRIAL_STOP = _SUBSET_LANE - _TRIAL_LANE_BASE  # trial indices lie in [0, _TRIAL_STOP)
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _streams(seed: int, lanes: Iterable[int]) -> Iterator[np.random.Generator]:
+    """For each lane in turn, a generator in the state of a fresh
+    ``Generator(Philox(key=[seed, lane]))``: one Philox, re-keyed per lane."""
+    bits = np.random.Philox(key=np.array([seed & _U64, 0], np.uint64))
+    state = bits.state  # fresh: counter 0, empty buffer, no buffered half-word
+    gen = np.random.Generator(bits)
+    for lane in lanes:
+        state["state"]["key"][1] = lane
+        bits.state = state  # copies the values, so the dict is reused
+        yield gen
+
+
+def _trial_range(trial: int | range) -> range:
+    """The trials as a step-1 range, each of which must have a lane of its own."""
+    if isinstance(trial, range):
+        if trial.step != 1:
+            raise ValueError("a range of trials must have step 1")
+    else:
+        trial = range(trial, trial + 1)
+    if trial.start < 0 or trial.stop > _TRIAL_STOP:
+        raise ValueError(f"trial indices must lie in [0, {_TRIAL_STOP})")
+    return trial
 
 
 @dataclass(frozen=True)
@@ -87,29 +120,34 @@ class Sampler:
     def dataset(cls, path: str, seed: int = 0) -> "Sampler":
         return cls("dataset", int(seed), path=str(path))
 
-    def points(self, n: int, trial: int | None = None) -> np.ndarray:
-        """First n points of the master stream, or of trial stream ``trial``."""
+    def points(self, n: int, trial: int | range | None = None) -> np.ndarray:
+        """First n points of the master stream or of trial stream ``trial``;
+        for a range of trials, their points stacked as (len(trial), n, dim)."""
         if n < 0:
             raise ValueError("n must be >= 0")
+        if trial is None:
+            blocks, lanes = range(1), range(_MASTER_LANE, _MASTER_LANE + 1)
+        else:
+            blocks = _trial_range(trial)
+            lanes = range(_TRIAL_LANE_BASE + blocks.start, _TRIAL_LANE_BASE + blocks.stop)
         if self.kind == "dataset":
-            rows = dataset_rows(self.path)
-            start = 0 if trial is None else trial * n
-            if start + n > rows.shape[0]:
-                raise ValueError(
-                    f"dataset {self.path!r} exhausted: need rows [{start}, {start + n})"
-                )
-            return rows[start : start + n].copy()
-        rng = self._rng(trial)
-        if self.kind == "diag_gaussian":
-            z = rng.standard_normal((n, self.spectrum.size))
-            return z * np.sqrt(self.spectrum.values)
-        z = rng.standard_normal((n, self.dim))
-        return z * self.scale
+            z = self._rows(n, blocks)
+        else:
+            diag = self.kind == "diag_gaussian"
+            z = np.empty((len(lanes), n, self.spectrum.size if diag else self.dim))
+            for out, gen in zip(z, _streams(self.seed, lanes)):
+                gen.standard_normal(out=out)
+            z *= np.sqrt(self.spectrum.values) if diag else self.scale
+        return z if isinstance(trial, range) else z[0]
 
-    def _rng(self, trial: int | None) -> np.random.Generator:
-        lane = _MASTER_LANE if trial is None else _TRIAL_LANE_BASE + trial
-        key = [self.seed & 0xFFFFFFFFFFFFFFFF, lane & 0xFFFFFFFFFFFFFFFF]
-        return np.random.Generator(np.random.Philox(key=key))
+    def _rows(self, n: int, blocks: range) -> np.ndarray:
+        # trial t replays rows [t * n, (t + 1) * n)
+        rows = dataset_rows(self.path)
+        if n and blocks and blocks.stop * n > rows.shape[0]:
+            start = max(blocks.start, rows.shape[0] // n) * n  # the first trial to run out
+            raise ValueError(f"dataset {self.path!r} exhausted: need rows [{start}, {start + n})")
+        z = rows[blocks.start * n : blocks.stop * n]
+        return z.reshape(len(blocks), n, rows.shape[1]).copy()
 
 
 def dataset_rows(path: str) -> np.ndarray:
@@ -182,7 +220,7 @@ def _estimate(values: np.ndarray) -> McEstimate:
 
 def _trial_grams(sampler: Sampler, kernel: KernelSpec, n: int, s: int, e: int) -> np.ndarray:
     """Stacked Gram matrices of trials s..e-1, each over n points of its own stream."""
-    return gram(kernel, np.stack([sampler.points(n, trial=t) for t in range(s, e)]))
+    return gram(kernel, sampler.points(n, trial=range(s, e)))
 
 
 def _det_moment(sampler: Sampler, kernel: KernelSpec, k: int, m: int, trials: int) -> McEstimate:
@@ -358,8 +396,8 @@ def nystrom_compare(
         raise ValueError("n must lie in [1, 3000] (dense n x n work)")
     pts = sampler.points(n)
     d, _ = run_stream(kernel, alpha, pts)
-    key = [sampler.seed & 0xFFFFFFFFFFFFFFFF, _SUBSET_LANE]
-    picked = np.random.Generator(np.random.Philox(key=key)).choice(n, size=len(d), replace=False)
+    (rng,) = _streams(sampler.seed, [_SUBSET_LANE])
+    picked = rng.choice(n, size=len(d), replace=False)
     sub = pts[np.sort(picked)]
     g = gram(kernel, pts)
     f_oks = linalg.solve_triangular(d.factor, gram_cross(kernel, d.members, pts), lower=True)

@@ -97,6 +97,36 @@ def test_body_does_not_depend_on_chunk_size(command, inputs, monkeypatch, capsys
     assert bodies[0] == bodies[1]
 
 
+_MC_GOLDEN = {
+    "kstar-tail": (
+        ["--alpha", "0.9", "--n", "10", "--k", "5", "--trials", "600"],
+        "kernel,sampler,alpha,n,k,trials,seed,estimate,std_error\n"
+        "rbf:1.0,gauss:2,0.9,10,5,600,1,0.5183333333333333,0.020415708414476413\n",
+    ),
+    "mc-gram": (
+        ["--k", "6", "--trials", "1000"],
+        "kernel,sampler,k,trials,seed,mean,std_error\n"
+        "rbf:1.0,gauss:2,6,1000,1,0.04988977592923656,0.0030740579080733997\n",
+    ),
+    "mc-moment": (
+        ["--k", "4", "--m", "2", "--trials", "1000"],
+        "kernel,sampler,k,m,trials,seed,mean,std_error\n"
+        "rbf:1.0,gauss:2,4,2,1000,1,0.1387323485441288,0.006763681617493693\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MC_GOLDEN))
+def test_mc_body_matches_its_recorded_value(command, capsys):
+    # the benchmark's three Monte Carlo configurations at fewer trials; the
+    # bodies pin every trial's draw to its fresh Philox(key=[seed, 1 + trial])
+    options, body = _MC_GOLDEN[command]
+    rc, stdout, _ = _run(capsys, [command, "--kernel", "rbf:1.0", "--sampler", "gauss:2",
+                                  "--seed", "1", *options])
+    assert rc == 0
+    assert stdout == body
+
+
 def test_mc_gram_ignores_a_stale_thread_variable(inputs, monkeypatch, capsys):
     # the Monte Carlo path is serial; OKS_THREADS is no longer read
     args = _invocations(inputs)["mc-gram"]

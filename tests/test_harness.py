@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,100 @@ def test_sampler_trials_differ_from_master():
     assert not np.array_equal(s.points(4), s.points(4, trial=0))
     assert not np.array_equal(s.points(4, trial=0), s.points(4, trial=1))
     assert np.array_equal(s.points(4, trial=3), s.points(4, trial=3))
+
+
+def _fresh_draws(seed, trials, n, dim):
+    # the reference: a new generator per trial, keyed [seed, 1 + trial]
+    out = np.empty((len(trials), n, dim))
+    for i, t in enumerate(trials):
+        rng = np.random.Generator(np.random.Philox(key=[seed, 1 + t]))
+        out[i] = rng.standard_normal((n, dim))
+    return out
+
+
+@pytest.mark.parametrize(
+    "trials", [range(3, 11), range(0, 1), range(5, 5)], ids=["eight", "one", "empty"]
+)
+@pytest.mark.parametrize("n", [7, 0])
+def test_batched_draw_equals_fresh_generators(trials, n):
+    # 7 x 3 = 21 normals a trial is not a multiple of Philox's 4-word block,
+    # so a buffer carried over from the previous trial would show
+    g = Sampler.gaussian_input(3, 0.5, 41)
+    want = _fresh_draws(41, trials, n, 3)
+    got = g.points(n, trial=trials)
+    assert got.shape == (len(trials), n, 3)
+    assert np.array_equal(got, want * 0.5)
+    d = diag_sampler([2.0, 1.0, 0.25], 41)
+    assert np.array_equal(d.points(n, trial=trials), want * np.sqrt([2.0, 1.0, 0.25]))
+    for i, t in enumerate(trials):
+        assert np.array_equal(g.points(n, trial=t), got[i])
+    master = np.random.Generator(np.random.Philox(key=[41, 0])).standard_normal((n, 3))
+    assert np.array_equal(g.points(n), master * 0.5)
+
+
+def test_batched_dataset_replay(tmp_path):
+    path = str(tmp_path / "rows.csv")
+    np.savetxt(path, np.arange(30.0).reshape(10, 3), delimiter=",")
+    s = Sampler.dataset(path)
+    rows = np.arange(30.0).reshape(10, 3)
+    assert np.array_equal(s.points(3, trial=range(1, 3)), rows[3:9].reshape(2, 3, 3))
+    assert np.array_equal(s.points(3, trial=range(1, 3))[1], s.points(3, trial=2))
+    assert s.points(0, trial=range(0, 4)).shape == (4, 0, 3)
+    assert s.points(3, trial=range(7, 7)).shape == (0, 3, 3)
+    # the message names the rows of the first trial that runs out
+    with pytest.raises(ValueError, match=r"need rows \[9, 12\)"):
+        s.points(3, trial=range(1, 5))
+    with pytest.raises(ValueError, match=r"need rows \[12, 15\)"):
+        s.points(3, trial=range(4, 6))
+
+
+def test_a_chunk_of_trials_builds_one_philox(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    assert harness._CHUNK == 2048
+    mc_expected_gram_det(Sampler.gaussian_input(2, 1.0, 3), rbf(1.0), 3, 2048)
+    assert len(built) <= 1
+
+
+@pytest.mark.parametrize("kind", ["gauss", "diag", "dataset"])
+def test_sampler_refuses_trials_without_a_lane_of_their_own(kind, tmp_path):
+    path = str(tmp_path / "rows.csv")
+    np.savetxt(path, np.ones((8, 2)), delimiter=",")
+    s = {
+        "gauss": Sampler.gaussian_input(2, 1.0, 5),
+        "diag": diag_sampler([1.0, 0.5], 5),
+        "dataset": Sampler.dataset(path),
+    }[kind]
+    # trial -1 would be the master stream's lane 0, and the last trial below
+    # the Nystrom subset's lane
+    for bad in (-1, -2, _SUBSET_LANE - 1, range(-1, 2), range(_SUBSET_LANE - 3, _SUBSET_LANE)):
+        with pytest.raises(ValueError, match="trial"):
+            s.points(2, trial=bad)
+    with pytest.raises(ValueError, match="step"):
+        s.points(2, trial=range(0, 4, 2))
+
+
+def test_last_trial_draws_from_the_lane_below_the_subset():
+    s = Sampler.gaussian_input(2, 1.0, 5)
+    last = np.random.Generator(np.random.Philox(key=[5, _SUBSET_LANE - 1]))
+    assert np.array_equal(s.points(3, trial=_SUBSET_LANE - 2), last.standard_normal((3, 2)))
+
+
+def test_negative_seeds_key_distinct_streams():
+    # a negative seed is keyed by its 64-bit two's complement, not cast through a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [Sampler.gaussian_input(2, 1.0, seed).points(3) for seed in (-5, -6, 0)]
+    want = np.random.Generator(np.random.Philox(key=np.array([2**64 - 5, 0], np.uint64)))
+    assert np.array_equal(draws[0], want.standard_normal((3, 2)))
+    assert not np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[0], draws[2])
 
 
 def test_gaussian_input_scale():
