@@ -2,7 +2,8 @@
 
 Every stochastic subcommand requires an explicit ``--seed``.  Identical
 invocations produce byte-identical CSV bodies; the JSON manifest written next
-to ``--out`` may differ only in wall time.  Exit codes: 0 success, 1 usage
+to ``--out`` may differ only in wall time, which spans the whole command, from
+argument parsing until the body is written.  Exit codes: 0 success, 1 usage
 error (bad flags, malformed config, missing files), 2 validation failure (an
 asserted inequality was violated by the run).
 
@@ -37,7 +38,7 @@ from .harness import (
     write_manifest,
 )
 from .kernels import KernelSpec, gram
-from .logvalue import LOG_ZERO, is_log_zero
+from .logvalue import LOG_ZERO
 from .regress import fit, read_labeled_csv
 from .sparsifier import run_stream, save_dictionary
 from .spectrum import empirical_spectrum, synthetic_spectrum
@@ -73,10 +74,12 @@ class Opt:
         return "--" + self.dest.replace("_", "-")
 
 
-_COMMON = [
+# --out is a setting of the run (dumped and read back); the other two only
+# say how the settings are given
+_OUT = Opt("out", help="output CSV path (default: stdout); a JSON manifest is written alongside")
+_CONTROL = [
     Opt("config", help="key=value file overriding the flags of this run"),
     Opt("dump_config", is_flag=True, help="print the effective configuration and exit"),
-    Opt("out", help="output CSV path (default: stdout); a JSON manifest is written alongside"),
 ]
 
 
@@ -107,15 +110,13 @@ def _load_config(path: str) -> dict:
 
 
 def _effective(ns: argparse.Namespace, opts: Sequence[Opt]) -> dict:
-    config = _load_config(ns.config) if getattr(ns, "config", None) else {}
+    config = _load_config(ns.config) if ns.config else {}
     known = {o.dest for o in opts}
     for key in config:
         if key not in known:
             raise CliError(f"unknown config key {key!r}")
     eff = {}
     for o in opts:
-        if o.dest in ("config", "dump_config"):
-            continue
         if o.dest in config:
             raw = config[o.dest]
             try:
@@ -125,16 +126,13 @@ def _effective(ns: argparse.Namespace, opts: Sequence[Opt]) -> dict:
         else:
             given = getattr(ns, o.dest)
             eff[o.dest] = o.default if given is None and not o.is_flag else given
-    for o in opts:
-        if o.required and eff.get(o.dest) is None:
+        if o.required and eff[o.dest] is None:
             raise CliError(f"missing required option {o.flag}")
     return eff
 
 
 def _dump(eff: dict, opts: Sequence[Opt]) -> None:
     for o in opts:
-        if o.dest in ("config", "dump_config"):
-            continue
         value = eff.get(o.dest)
         if value is None:
             continue
@@ -168,8 +166,6 @@ def _parse_sampler(text: str, seed: int | None) -> Sampler:
         if head == "data" and rest:
             return Sampler.dataset(rest, seed or 0)
     except ValueError as exc:
-        if isinstance(exc, CliError):
-            raise
         raise CliError(f"cannot parse sampler {text!r}: {exc}") from None
     raise CliError(f"cannot parse sampler {text!r} (expected diag:..., gauss:..., data:...)")
 
@@ -183,10 +179,8 @@ def _need_seed(seed: int | None) -> int:
 def _load_spectrum(source: str, size: int) -> Spectrum:
     head, _, rest = source.strip().partition(":")
     try:
-        if head == "geometric":
-            return synthetic_spectrum("geometric", float(rest), size)
-        if head == "polynomial":
-            return synthetic_spectrum("polynomial", float(rest), size)
+        if head in ("geometric", "polynomial"):
+            return synthetic_spectrum(head, float(rest), size)
         if head == "explicit":
             return synthetic_spectrum("explicit", [float(v) for v in rest.split(",")])
         return Spectrum.from_csv(source)
@@ -200,29 +194,35 @@ def _csv(header, rows) -> str:
     return body.getvalue()
 
 
-def _emit(eff: dict, subcommand: str, body: str, inputs=(), started=None) -> None:
+def _trace_csv(trace) -> str:
+    return _csv(["n", "dict_size", "log_det"], zip(trace.samples, trace.dict_size, trace.log_det))
+
+
+def _emit(eff: dict, command: str, wall_time_s: float, body: str, inputs=()) -> None:
     """Write the body to ``--out`` with a JSON manifest beside it, or to stdout."""
-    if eff.get("out"):
-        with open(eff["out"], "w", newline="") as fh:
-            fh.write(body)
-        wall = 0.0 if started is None else time.monotonic() - started
-        params = {k: v for k, v in eff.items() if k != "out"}
-        write_manifest(
-            eff["out"] + ".manifest.json",
-            subcommand,
-            params,
-            eff.get("seed"),
-            input_paths=inputs,
-            wall_time_s=wall,
-        )
-    else:
+    if not eff.get("out"):
         sys.stdout.write(body)
+        return
+    with open(eff["out"], "w", newline="") as fh:
+        fh.write(body)
+    write_manifest(
+        eff["out"] + ".manifest.json",
+        command,
+        {k: v for k, v in eff.items() if k != "out"},
+        eff.get("seed"),
+        input_paths=inputs,
+        wall_time_s=wall_time_s,
+    )
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each computes its body and hands it, with the paths of
+# the inputs it read, to ``emit(body, inputs=())``
 
-def _cmd_esp(eff: dict) -> int:
+Emit = Callable[..., None]
+
+
+def _cmd_esp(eff: dict, emit: Emit) -> None:
     k = eff["k"]
     if k < 0:
         raise CliError("--k must be >= 0")
@@ -236,11 +236,10 @@ def _cmd_esp(eff: dict) -> int:
     else:
         rows = [(j, log_nus[j]) for j in range(k + 1)]
         header = ["k", "log_nu"]
-    _emit(eff, "esp", _csv(header, rows))
-    return 0
+    emit(_csv(header, rows))
 
 
-def _cmd_bound(eff: dict) -> int:
+def _cmd_bound(eff: dict, emit: Emit) -> None:
     n, k, alpha = eff["n"], eff["k"], eff["alpha"]
     spec = _load_spectrum(eff["spectrum"], max(4 * k, eff["trunc"]))
     if k > spec.size:
@@ -260,85 +259,65 @@ def _cmd_bound(eff: dict) -> int:
         )
         header += ["delta", "threshold_n"]
         row += [eff["delta"], threshold]
-    _emit(eff, "bound", _csv(header, [row]))
-    return 0
+    emit(_csv(header, [row]))
 
 
-def _mc_row(eff: dict, subcommand: str, estimator: Callable, echoed: Sequence[str],
-            stat: str = "mean") -> int:
-    """One CSV row for a Monte Carlo estimator called as
-    ``estimator(sampler, kernel, *echoed options, trials)``."""
-    started = time.monotonic()
-    kernel = _parse_kernel(eff["kernel"])
-    sampler = _parse_sampler(eff["sampler"], eff["seed"])
-    opts = [eff[name] for name in echoed]
-    est = estimator(sampler, kernel, *opts, eff["trials"])
-    header = ["kernel", "sampler", *echoed, "trials", "seed", stat, "std_error"]
-    row = [eff["kernel"], eff["sampler"], *opts, est.trials, eff["seed"], est.mean, est.std_error]
-    _emit(eff, subcommand, _csv(header, [row]), started=started)
-    return 0
+def _mc_command(summary: str, estimator: Callable, echoed: list[Opt], stat: str = "mean"):
+    """Table entry for a Monte Carlo estimator called as
+    ``estimator(sampler, kernel, *echoed options, trials)``; its body is one CSV row."""
+    names = [o.dest for o in echoed]
 
+    def handler(eff: dict, emit: Emit) -> None:
+        kernel = _parse_kernel(eff["kernel"])
+        sampler = _parse_sampler(eff["sampler"], eff["seed"])
+        opts = [eff[name] for name in names]
+        est = estimator(sampler, kernel, *opts, eff["trials"])
+        header = ["kernel", "sampler", *names, "trials", "seed", stat, "std_error"]
+        row = [eff["kernel"], eff["sampler"], *opts, est.trials, eff["seed"], est.mean,
+               est.std_error]
+        emit(_csv(header, [row]))
 
-def _cmd_mc_gram(eff: dict) -> int:
-    return _mc_row(eff, "mc-gram", mc_expected_gram_det, ["k"])
-
-
-def _cmd_mc_moment(eff: dict) -> int:
-    return _mc_row(eff, "mc-moment", mc_det_moment, ["k", "m"])
-
-
-def _cmd_kstar_tail(eff: dict) -> int:
-    return _mc_row(eff, "kstar-tail", mc_kstar_tail, ["alpha", "n", "k"], stat="estimate")
+    return summary, handler, [
+        Opt("kernel", required=True),
+        Opt("sampler", required=True, help="diag:v1,v2 | gauss:dim:scale | data:path"),
+        *echoed,
+        Opt("trials", int, required=True),
+        Opt("seed", int),
+    ]
 
 
 def _parse_checkpoints(text: str | None, n: int) -> list[int]:
     if text:
         return [int(v) for v in text.split(",")]
-    marks = sorted({max(1, n >> s) for s in range(4, -1, -1)})
-    return marks
+    return sorted({max(1, n >> s) for s in range(5)})
 
 
-def _cmd_growth(eff: dict) -> int:
-    started = time.monotonic()
+def _cmd_growth(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
     sampler = _parse_sampler(eff["sampler"], eff["seed"])
     trace = growth_experiment(
         sampler, kernel, eff["alpha"], eff["n"], _parse_checkpoints(eff.get("checkpoints"), eff["n"])
     )
-    _emit(
-        eff,
-        "growth",
-        _csv(["n", "dict_size", "log_det"], zip(trace.samples, trace.dict_size, trace.log_det)),
-        started=started,
-    )
-    return 0
+    emit(_trace_csv(trace))
 
 
-def _cmd_nystrom(eff: dict) -> int:
-    started = time.monotonic()
+def _cmd_nystrom(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
     sampler = _parse_sampler(eff["sampler"], eff["seed"])
     rec = nystrom_compare(sampler, kernel, eff["alpha"], eff["n"])
     names = [f.name for f in fields(rec)]
-    _emit(
-        eff,
-        "nystrom",
-        _csv(
-            ["kernel", "sampler", "alpha", "n", "seed", *names],
-            [(eff["kernel"], eff["sampler"], eff["alpha"], eff["n"], eff["seed"],
-              *[getattr(rec, f) for f in names])],
-        ),
-        started=started,
-    )
+    emit(_csv(
+        ["kernel", "sampler", "alpha", "n", "seed", *names],
+        [(eff["kernel"], eff["sampler"], eff["alpha"], eff["n"], eff["seed"],
+          *[getattr(rec, f) for f in names])],
+    ))
     if not rec.entrywise_err_oks < rec.entrywise_bound:
         raise ValidationFailure(
             f"entrywise error {rec.entrywise_err_oks} is not below the bound {rec.entrywise_bound}"
         )
-    return 0
 
 
-def _cmd_regress(eff: dict) -> int:
-    started = time.monotonic()
+def _cmd_regress(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
     try:
         xs, ys = read_labeled_csv(eff["data"])
@@ -359,12 +338,10 @@ def _cmd_regress(eff: dict) -> int:
         header.append("test_mse")
         row.append(model.evaluate(tx, ty))
         inputs.append(eff["test"])
-    _emit(eff, "regress", _csv(header, [row]), inputs=inputs, started=started)
-    return 0
+    emit(_csv(header, [row]), inputs)
 
 
-def _cmd_spectrum_est(eff: dict) -> int:
-    started = time.monotonic()
+def _cmd_spectrum_est(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
     if bool(eff.get("sampler")) == bool(eff.get("data")):
         raise CliError("give exactly one of --sampler and --data")
@@ -378,12 +355,10 @@ def _cmd_spectrum_est(eff: dict) -> int:
     spec = empirical_spectrum(gram(kernel, pts), eff["clamp_tol"])
     body = io.StringIO()
     spec.to_csv(body)
-    _emit(eff, "spectrum-est", body.getvalue(), inputs=inputs, started=started)
-    return 0
+    emit(body.getvalue(), inputs)
 
 
-def _cmd_oks_run(eff: dict) -> int:
-    started = time.monotonic()
+def _cmd_oks_run(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
     try:
         pts = dataset_rows(eff["data"])
@@ -392,27 +367,21 @@ def _cmd_oks_run(eff: dict) -> int:
     d, trace = run_stream(kernel, eff["alpha"], pts, eff["trace_every"])
     if eff.get("out"):
         save_dictionary(d, eff["out"] + ".dict.csv", eff["out"] + ".dict.json")
-    _emit(
-        eff,
-        "oks-run",
-        _csv(["n", "dict_size", "log_det"], zip(trace.samples, trace.dict_size, trace.log_det)),
-        inputs=(eff["data"],),
-        started=started,
-    )
-    return 0
+    emit(_trace_csv(trace), (eff["data"],))
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# wiring: name -> (summary, handler, options)
 
-_COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
-    "esp": (_cmd_esp, [
+_COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
+    "esp": ("tabulate log nu(k) for a spectrum (optionally cross-checked by enumeration)",
+            _cmd_esp, [
         Opt("spectrum", required=True, help="csv path | geometric:s | polynomial:p | explicit:v1,v2,..."),
         Opt("k", int, required=True),
         Opt("brute", is_flag=True, help="add the subset-enumeration column (length <= 22)"),
         Opt("trunc", int, default=64, help="truncation length for synthetic spectra"),
     ]),
-    "bound": (_cmd_bound, [
+    "bound": ("dictionary-size tail bound and certified-sample-count threshold", _cmd_bound, [
         Opt("n", int, required=True),
         Opt("k", int, required=True),
         Opt("alpha", float, required=True),
@@ -420,31 +389,18 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
         Opt("delta", float, help="also print the certified-sample-count threshold"),
         Opt("trunc", int, default=64),
     ]),
-    "mc-gram": (_cmd_mc_gram, [
-        Opt("kernel", required=True),
-        Opt("sampler", required=True, help="diag:v1,v2 | gauss:dim:scale | data:path"),
-        Opt("k", int, required=True),
-        Opt("trials", int, required=True),
-        Opt("seed", int),
-    ]),
-    "mc-moment": (_cmd_mc_moment, [
-        Opt("kernel", required=True),
-        Opt("sampler", required=True),
-        Opt("k", int, required=True),
-        Opt("m", int, required=True),
-        Opt("trials", int, required=True),
-        Opt("seed", int),
-    ]),
-    "kstar-tail": (_cmd_kstar_tail, [
-        Opt("kernel", required=True),
-        Opt("sampler", required=True),
-        Opt("alpha", float, required=True),
-        Opt("n", int, required=True),
-        Opt("k", int, required=True),
-        Opt("trials", int, required=True),
-        Opt("seed", int),
-    ]),
-    "growth": (_cmd_growth, [
+    "mc-gram": _mc_command("Monte Carlo estimate of the expected Gram determinant",
+                           mc_expected_gram_det, [Opt("k", int, required=True)]),
+    "mc-moment": _mc_command("Monte Carlo estimate of a Gram determinant moment", mc_det_moment,
+                             [Opt("k", int, required=True), Opt("m", int, required=True)]),
+    "kstar-tail": _mc_command(
+        "Monte Carlo tail probability of the largest passing subset size",
+        mc_kstar_tail,
+        [Opt("alpha", float, required=True), Opt("n", int, required=True),
+         Opt("k", int, required=True)],
+        stat="estimate",
+    ),
+    "growth": ("dictionary growth trace over a sampled stream", _cmd_growth, [
         Opt("kernel", required=True),
         Opt("alpha", float, required=True),
         Opt("n", int, required=True),
@@ -452,21 +408,21 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
         Opt("sampler", default="gauss:1:1.0"),
         Opt("checkpoints", help="comma-separated sample counts (default: a doubling ladder)"),
     ]),
-    "nystrom": (_cmd_nystrom, [
+    "nystrom": ("projection error of the streaming dictionary vs a random subset", _cmd_nystrom, [
         Opt("kernel", required=True),
         Opt("alpha", float, required=True),
         Opt("n", int, required=True),
         Opt("seed", int),
         Opt("sampler", default="gauss:1:1.0"),
     ]),
-    "regress": (_cmd_regress, [
+    "regress": ("dictionary-feature least squares on a labeled dataset", _cmd_regress, [
         Opt("kernel", required=True),
         Opt("alpha", float, required=True),
         Opt("data", required=True, help="labeled CSV: feature columns then a final y column"),
         Opt("test", help="labeled CSV used for the test MSE column"),
         Opt("ridge", float, default=0.0),
     ]),
-    "spectrum-est": (_cmd_spectrum_est, [
+    "spectrum-est": ("empirical spectrum of a sampled or stored Gram matrix", _cmd_spectrum_est, [
         Opt("kernel", required=True),
         Opt("n", int, required=True),
         Opt("sampler"),
@@ -474,7 +430,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
         Opt("seed", int),
         Opt("clamp_tol", float, default=1e-10),
     ]),
-    "oks-run": (_cmd_oks_run, [
+    "oks-run": ("stream a dataset through a dictionary and snapshot the result", _cmd_oks_run, [
         Opt("kernel", required=True),
         Opt("alpha", float, required=True),
         Opt("data", required=True, help="CSV of point coordinates, one row per sample"),
@@ -483,26 +439,12 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], list[Opt]]] = {
 }
 
 
-_SUMMARIES = {
-    "esp": "tabulate log nu(k) for a spectrum (optionally cross-checked by enumeration)",
-    "bound": "dictionary-size tail bound and certified-sample-count threshold",
-    "mc-gram": "Monte Carlo estimate of the expected Gram determinant",
-    "mc-moment": "Monte Carlo estimate of a Gram determinant moment",
-    "kstar-tail": "Monte Carlo tail probability of the largest passing subset size",
-    "growth": "dictionary growth trace over a sampled stream",
-    "nystrom": "projection error of the streaming dictionary vs a random subset",
-    "regress": "dictionary-feature least squares on a labeled dataset",
-    "spectrum-est": "empirical spectrum of a sampled or stored Gram matrix",
-    "oks-run": "stream a dataset through a dictionary and snapshot the result",
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="oks", description=__doc__)
     subs = parser.add_subparsers(dest="command", metavar="subcommand")
-    for name, (_, opts) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=_SUMMARIES[name])
-        for o in [*opts, *_COMMON]:
+    for name, (summary, _, opts) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for o in [*opts, *_CONTROL, _OUT]:
             if o.is_flag:
                 sub.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
             else:
@@ -511,18 +453,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    started = time.monotonic()
     try:
-        ns = parser.parse_args(argv)
-        if not getattr(ns, "command", None):
+        ns = build_parser().parse_args(argv)
+        if not ns.command:
             raise CliError("a subcommand is required (see --help)")
-        handler, opts = _COMMANDS[ns.command]
-        all_opts = [*opts, *_COMMON]
-        eff = _effective(ns, all_opts)
+        _, handler, opts = _COMMANDS[ns.command]
+        settings = [*opts, _OUT]
+        eff = _effective(ns, settings)
         if ns.dump_config:
-            _dump(eff, all_opts)
+            _dump(eff, settings)
             return 0
-        return handler(eff)
+
+        def emit(body: str, inputs=()) -> None:
+            _emit(eff, ns.command, time.monotonic() - started, body, inputs)
+
+        handler(eff, emit)
+        return 0
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -419,10 +419,12 @@ def nystrom_compare(
 # experiment persistence: CSV bodies plus a JSON run manifest
 
 def format_cell(value) -> str:
-    """Stable text form: full-precision repr for floats, plain str otherwise.
+    """Stable text form: full-precision repr for floats, "" for None, plain str otherwise.
 
     Strings containing a comma, quote, or newline are quoted CSV-style.
     """
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

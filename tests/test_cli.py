@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import oks
-from oks import harness
+from oks import cli, harness
 from oks.cli import main
 from oks.regress import write_labeled_csv
 from oks.sparsifier import load_dictionary
@@ -77,7 +78,9 @@ def test_body_is_identical_across_runs_and_matches_stdout(command, inputs, tmp_p
         assert rc == 0
         assert stdout == ""
         bodies.append(out.read_bytes())
-        assert _manifest(out)["subcommand"] == command
+        manifest = _manifest(out)
+        assert manifest["subcommand"] == command
+        assert manifest["wall_time_s"] > 0
     assert bodies[0] == bodies[1]
     rc, stdout, _ = _run(capsys, args)
     assert rc == 0
@@ -125,6 +128,16 @@ def test_mc_body_matches_its_recorded_value(command, capsys):
                                   "--seed", "1", *options])
     assert rc == 0
     assert stdout == body
+
+
+def test_data_sampler_without_seed_writes_an_empty_seed_cell(inputs, capsys):
+    rc, stdout, _ = _run(capsys, ["kstar-tail", "--kernel", "rbf:1.0",
+                                  "--sampler", f"data:{inputs['points']}", "--alpha", "0.9",
+                                  "--n", "5", "--k", "3", "--trials", "2"])
+    assert rc == 0
+    header, row = stdout.splitlines()
+    assert header.split(",")[-3] == "seed"
+    assert row.split(",")[-3] == ""
 
 
 def test_mc_gram_ignores_a_stale_thread_variable(inputs, monkeypatch, capsys):
@@ -195,11 +208,15 @@ def test_missing_subcommand_and_required_option_exit_1(capsys):
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
+    # --config and --dump-config say how a run is configured; they are not settings
     config = tmp_path / "run.conf"
-    config.write_text("spectrum=geometric:2\nk=3\nnonsense=1\n")
-    rc, _, err = _run(capsys, ["esp", "--config", str(config)])
-    assert rc == 1
-    assert "nonsense" in err
+    for line, key in [("nonsense=1", "nonsense"), ("dump-config=true", "dump_config"),
+                      ("config=/nonexistent", "config")]:
+        config.write_text(f"spectrum=geometric:2\nk=3\n{line}\n")
+        rc, stdout, err = _run(capsys, ["esp", "--config", str(config)])
+        assert rc == 1
+        assert stdout == ""
+        assert f"unknown config key {key!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -242,6 +259,26 @@ def test_regress_with_empty_dictionary_exits_2(inputs, tmp_path, capsys):
     assert rc == 2
     assert "validation failure" in err
     assert not out.exists()
+
+
+def test_nystrom_writes_its_body_before_exiting_2(monkeypatch, tmp_path, capsys):
+    real = cli.nystrom_compare
+
+    def over_bound(*args):
+        rec = real(*args)
+        return dataclasses.replace(rec, entrywise_err_oks=rec.entrywise_bound)
+
+    monkeypatch.setattr(cli, "nystrom_compare", over_bound)
+    out = tmp_path / "nystrom.csv"
+    rc, stdout, err = _run(capsys, ["nystrom", "--kernel", "rbf:1.0", "--alpha", "0.01",
+                                    "--n", "50", "--seed", "5", "--out", str(out)])
+    assert rc == 2
+    assert stdout == ""
+    assert "validation failure: entrywise error" in err
+    header, row = out.read_text().splitlines()
+    columns = dict(zip(header.split(","), row.split(",")))
+    assert columns["entrywise_err_oks"] == columns["entrywise_bound"]
+    assert _manifest(out)["subcommand"] == "nystrom"
 
 
 # --- --dump-config -> --config -------------------------------------------------------
@@ -292,3 +329,16 @@ def test_cli_import_does_not_load_scipy_sparse():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=120)
     assert done.stdout.strip() == "False"
+
+
+def test_module_help_lists_every_subcommand_with_its_summary():
+    src = str(Path(oks.__file__).resolve().parents[1])
+    env = {**os.environ, "COLUMNS": "200",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "oks", "--help"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert len(cli._COMMANDS) == 10
+    for name, (summary, _, _) in cli._COMMANDS.items():
+        assert f"\n    {name}" in done.stdout
+        assert summary in done.stdout

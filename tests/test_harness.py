@@ -456,6 +456,7 @@ def test_format_cell_quoting():
     assert format_cell(1.5) == "1.5"
     assert format_cell(float("-inf")) == "-inf"
     assert format_cell(7) == "7"
+    assert format_cell(None) == ""
     assert format_cell(True) == "true"
 
 
