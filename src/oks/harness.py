@@ -30,7 +30,7 @@ from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as th
 
 from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
-from .sparsifier import GrowthTrace, kstar_oracle, run_checkpoints, run_stream
+from .sparsifier import GrowthTrace, run_checkpoints, run_stream
 from .symfun import Spectrum
 
 __all__ = [
@@ -280,7 +280,9 @@ def mc_kstar_tail(
     and the points behind its first k pivots form a k-subset that passes.
     Hence kstar >= k iff some k-subset passes.  The enumeration is
     vectorized across the chunk, with the determinant path and the strict
-    comparison of :func:`oks.sparsifier.kstar_oracle`.
+    comparison of :func:`oks.sparsifier.kstar_oracle`: both go through
+    :func:`oks.kernels.logdet_psd_stack`, whose batched Cholesky certifies
+    most subsets and hands the rest to its diagonal-pivoted elimination.
     """
     if not 1 <= n <= 10:
         raise ValueError("n must lie in [1, 10] for per-trial subset enumeration")

@@ -5,14 +5,17 @@ vectorized over trailing point axes, so single pairs, point sets ``(n, d)``
 and stacked batches of point sets ``(b, n, d)`` all share one code path.
 Points are plain 1-D float arrays.
 
-Determinant arithmetic never leaves log domain: :func:`log_det_psd` performs
-its own symmetric triangular factorization so that a pivot inside the
-relative tolerance band is reported as an exact zero (singular matrix) while
-a decisively negative pivot raises :class:`NotPsdError`.
+Determinant arithmetic never leaves log domain: :func:`logdet_psd_stack`
+decides singularity by its own diagonal-pivoted factorization, so that a
+pivot inside the relative tolerance band is reported as an exact zero
+(singular matrix) while a decisively negative pivot raises
+:class:`NotPsdError`.  A batched Cholesky factorization stands in for it on
+every matrix that is provably far from that band.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -232,14 +235,45 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
 def logdet_psd_stack(mats, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     """Log-determinants of a stack of PSD matrices ``(..., n, n)``.
 
-    Symmetric elimination with diagonal pivoting (largest remaining diagonal
-    first), which leaves determinants unchanged and is rank revealing.  A
-    pivot within ``tol * max(diagonal)`` of zero marks that matrix singular
-    (zero state); a pivot below ``-tol * max(diagonal)`` raises
-    :class:`NotPsdError`, since under this pivot order it means every
-    remaining diagonal entry is decisively negative.
+    The result is that of symmetric elimination with diagonal pivoting
+    (largest remaining diagonal first), which leaves determinants unchanged
+    and is rank revealing.  A pivot within ``tol * max(diagonal)`` of zero
+    marks that matrix singular (zero state); a pivot below
+    ``-tol * max(diagonal)`` raises :class:`NotPsdError`, since under this
+    pivot order it means every remaining diagonal entry is decisively
+    negative.
+
+    Most matrices skip that elimination.  One batched Cholesky factorization
+    runs first, and a matrix keeps its 2 * sum(log diag L) when that value
+    exceeds ``log(tol) + n * log(D) + margin``, D its largest diagonal
+    entry.  The elimination would give it the same value to rounding and
+    the same verdict exactly.  Proof sketch, with lambda the smallest
+    eigenvalue and u the unit roundoff:
+
+    - each pivot of a symmetric elimination of a PD matrix, in any order,
+      is a diagonal entry of a Schur complement, hence at least lambda;
+    - lambda >= det / (n * D)**(n - 1), as no eigenvalue exceeds the trace;
+    - both factorizations are backward stable: each is exact for A + E with
+      ``||E||_2 <= n**3 * u * D`` (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, Thms 9.3 and 10.3; multipliers are at most 1
+      and Schur entries at most D under diagonal pivoting, and
+      ``|L| |L^T| <= D`` entrywise for Cholesky).
+
+    With ``delta = 4 * n**3 * u`` covering both backward errors over D, the
+    margin ``(n - 1) * log(n) + log1p(delta / tol) + log(2)`` puts lambda
+    of the Cholesky product above ``(tol + delta) * D``, so every computed
+    pivot of the elimination exceeds ``tol * D``.  The log(2) absorbs
+    ``(1 + delta)**(n - 1)`` and the rounding of the log sum.  The margin
+    grows with n, so near-singular matrices of higher order take the
+    elimination more often.
+
+    Every other matrix takes the elimination, unchanged: one that fails the
+    test or its own Cholesky factorization, or that is not exactly
+    symmetric (Cholesky reads only the lower triangle) or holds a non-finite
+    entry.  The route of a matrix, and so its value, never depends on the
+    rest of the stack.
     """
-    a = np.array(mats, dtype=float)
+    a = np.asarray(mats, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected square matrices")
     if not tol > 0:
@@ -248,8 +282,44 @@ def logdet_psd_stack(mats, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     batch = a.shape[:-2]
     if n == 0:
         return np.zeros(batch)
-    a = a.reshape(-1, n, n)
-    nb = a.shape[0]
+    a = a[None] if a.ndim == 2 else a  # a stack keeps its layout: reshaping may copy
+    ready = (a == a.swapaxes(-1, -2)) & np.isfinite(a)
+    fast = np.full(a.shape[:-2], True) if ready.all() else ready.all(axis=(-2, -1))
+    out = np.empty(a.shape[:-2])
+    ld = _cholesky_logdets(a if fast.all() else a[fast]).ravel()
+    delta = 4 * n**3 * np.finfo(float).eps / 2
+    margin = (n - 1) * math.log(n) + math.log1p(delta / tol) + math.log(2.0)
+    top = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)[fast]
+    out[fast] = ld
+    with np.errstate(divide="ignore", invalid="ignore"):  # top <= 0 only where ld is NaN
+        fast[fast] = ld > math.log(tol) + n * np.log(top) + margin  # False where NaN
+    if not fast.all():
+        out[~fast] = _logdet_pivoted(a[~fast], tol)
+    return out.reshape(batch)
+
+
+def _cholesky_logdets(a: np.ndarray) -> np.ndarray:
+    """2 * sum(log diag L) for each matrix of a stack, NaN where its own
+    Cholesky factorization fails.
+
+    ``np.linalg.cholesky`` raises for a whole batch if one matrix fails, so
+    a failing batch is split until each failing matrix stands alone.
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        flat = a.reshape(-1, *a.shape[-2:])
+        if len(flat) == 1:
+            return np.full(a.shape[:-2], np.nan)
+        parts = np.array_split(flat, min(len(flat), 64))
+        return np.concatenate([_cholesky_logdets(p) for p in parts]).reshape(a.shape[:-2])
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _logdet_pivoted(a: np.ndarray, tol: float) -> np.ndarray:
+    """The diagonal-pivoted elimination of :func:`logdet_psd_stack` on a
+    stack ``(b, n, n)`` with n >= 1, which it overwrites."""
+    nb, n, _ = a.shape
     bi = np.arange(nb)
     thr = tol * np.maximum(np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1), 0.0)
     out = np.zeros(nb)
@@ -277,7 +347,7 @@ def logdet_psd_stack(mats, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
             if j + 1 < n:
                 col = np.where(live[:, None], a[:, j + 1 :, j] / psafe[:, None], 0.0)
                 a[:, j + 1 :, j + 1 :] -= col[:, :, None] * a[:, j : j + 1, j + 1 :]
-    return np.where(zero, LOG_ZERO, out).reshape(batch)
+    return np.where(zero, LOG_ZERO, out)
 
 
 def log_det_psd(m, tol: float = DEFAULT_PIVOT_TOL) -> LogValue:

@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .logvalue import LOG_ZERO, LogValue, is_log_zero, log_binomial, log_factorial
 
@@ -169,7 +168,21 @@ def esp_brute(spec: Spectrum, k: int) -> LogValue:
     with np.errstate(divide="ignore"):
         logs = np.log(spec.values)
     terms = [logs[list(c)].sum() for c in combinations(range(n_len), k)]
-    return float(log_factorial(k) + logsumexp(np.array(terms)))
+    return float(log_factorial(k) + _logsumexp(np.array(terms)))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array, rounded as ``scipy.special.logsumexp``
+    rounds it: the m terms equal to the max leave the shifted sum."""
+    a_max = a.max()
+    if a_max == LOG_ZERO:
+        return LOG_ZERO
+    top = a == a_max
+    m = float(top.sum())
+    s = np.exp(np.where(top, LOG_ZERO, a) - a_max).sum()
+    if s != 0:
+        s = s / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 def tail_sum(spec: Spectrum, k: int) -> float:

@@ -109,7 +109,7 @@ _MC_GOLDEN = {
     "mc-gram": (
         ["--k", "6", "--trials", "1000"],
         "kernel,sampler,k,trials,seed,mean,std_error\n"
-        "rbf:1.0,gauss:2,6,1000,1,0.04988977592923656,0.0030740579080733997\n",
+        "rbf:1.0,gauss:2,6,1000,1,0.04988977592923656,0.0030740579080733993\n",
     ),
     "mc-moment": (
         ["--k", "4", "--m", "2", "--trials", "1000"],
@@ -118,15 +118,42 @@ _MC_GOLDEN = {
     ),
 }
 
+# The same runs with every matrix on the pivoted elimination, which rounds
+# mc-gram's per-trial log dets differently in the last bits.
+_MC_GOLDEN_PIVOTED = {
+    **_MC_GOLDEN,
+    "mc-gram": (
+        _MC_GOLDEN["mc-gram"][0],
+        "kernel,sampler,k,trials,seed,mean,std_error\n"
+        "rbf:1.0,gauss:2,6,1000,1,0.04988977592923656,0.0030740579080733997\n",
+    ),
+}
+
+
+def _mc_body(command, golden, capsys):
+    options, body = golden[command]
+    rc, stdout, _ = _run(capsys, [command, "--kernel", "rbf:1.0", "--sampler", "gauss:2",
+                                  "--seed", "1", *options])
+    assert rc == 0
+    return stdout, body
+
 
 @pytest.mark.parametrize("command", sorted(_MC_GOLDEN))
 def test_mc_body_matches_its_recorded_value(command, capsys):
     # the benchmark's three Monte Carlo configurations at fewer trials; the
     # bodies pin every trial's draw to its fresh Philox(key=[seed, 1 + trial])
-    options, body = _MC_GOLDEN[command]
-    rc, stdout, _ = _run(capsys, [command, "--kernel", "rbf:1.0", "--sampler", "gauss:2",
-                                  "--seed", "1", *options])
-    assert rc == 0
+    stdout, body = _mc_body(command, _MC_GOLDEN, capsys)
+    assert stdout == body
+
+
+@pytest.mark.parametrize("command", sorted(_MC_GOLDEN_PIVOTED))
+def test_mc_body_on_the_pivoted_path_matches_its_recorded_value(command, monkeypatch, capsys):
+    # with Cholesky switched off, every log det takes the pivoted elimination
+    def no_cholesky(a):
+        raise np.linalg.LinAlgError("Cholesky switched off")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+    stdout, body = _mc_body(command, _MC_GOLDEN_PIVOTED, capsys)
     assert stdout == body
 
 
@@ -321,14 +348,14 @@ def test_input_hash_follows_data_bytes(command, inputs, tmp_path, capsys):
 # --- start-up cost ---------------------------------------------------------------
 
 def test_cli_import_does_not_load_scipy_sparse():
-    # every command pays for `import oks.cli`; scipy.sparse alone would add
-    # tens of milliseconds to it
+    # every command pays for `import oks.cli`; scipy.sparse or scipy.special
+    # alone would add tens of milliseconds to it
     src = str(Path(oks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, oks.cli; print('scipy.sparse' in sys.modules)"
+    code = "import sys, oks.cli; print('scipy.sparse' in sys.modules, 'scipy.special' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=120)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_module_help_lists_every_subcommand_with_its_summary():

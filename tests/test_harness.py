@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oks import harness
+from oks import harness, kernels
 from oks.harness import (
     _SUBSET_LANE,
     McEstimate,
@@ -286,6 +286,44 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
     default = estimates()
     monkeypatch.setattr(harness, "_CHUNK", 7)
     assert estimates() == default
+
+
+def _count_fallback(monkeypatch):
+    # matrices handed to the pivoted elimination, per call
+    sizes = []
+    inner = kernels._logdet_pivoted
+
+    def counted(a, tol):
+        sizes.append(a.shape[0])
+        return inner(a, tol)
+
+    monkeypatch.setattr(kernels, "_logdet_pivoted", counted)
+    return sizes
+
+
+def test_kstar_tail_bench_config_stays_on_the_cholesky_path(monkeypatch):
+    # the benchmark's kstar-tail: 600 trials of 252 subset matrices (5x5).  Three
+    # of them, with log det -24.0, -21.4 and -20.9, lie below the certification
+    # threshold (about -20.4) and take the elimination; the other 151 197 do not
+    sizes = _count_fallback(monkeypatch)
+    est = mc_kstar_tail(Sampler.gaussian_input(2, 1.0, 1), rbf(1.0), 0.9, 10, 5, 600)
+    assert est.mean == 0.5183333333333333
+    assert sizes == [3]
+
+
+def test_mc_estimates_keep_their_bits_when_some_trials_fail_cholesky(tmp_path, monkeypatch):
+    # every 10th trial repeats a point: its Gram is singular and fails Cholesky,
+    # which must not move the value of any other trial in its chunk
+    rows = np.random.default_rng(23).standard_normal((3000, 2))
+    rows[2::30] = rows[1::30]
+    path = tmp_path / "rows.csv"
+    path.write_text("x0,x1\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
+    s = Sampler.dataset(str(path))
+    sizes = _count_fallback(monkeypatch)
+    default = mc_expected_gram_det(s, rbf(1.0), 3, 1000)
+    assert sizes == [100]
+    monkeypatch.setattr(harness, "_CHUNK", 7)
+    assert mc_expected_gram_det(s, rbf(1.0), 3, 1000) == default
 
 
 # --- growth experiment -----------------------------------------------------------

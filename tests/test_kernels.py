@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oks import kernels
 from oks.kernels import (
+    DEFAULT_PIVOT_TOL,
     KernelSpec,
     NotPsdError,
     eval_kernel,
@@ -210,6 +212,138 @@ def test_logdet_stack_singular_members():
     x = rng.standard_normal((30, 3, 2))
     ld = logdet_psd_stack(gram(linear(), x))
     assert np.all(np.isneginf(ld))
+
+
+# --- Cholesky-first routing ---------------------------------------------------
+
+def _no_cholesky(a):
+    raise np.linalg.LinAlgError("Cholesky switched off")
+
+
+@pytest.fixture
+def pivoted(monkeypatch):
+    """logdet_psd_stack with Cholesky switched off, so that every matrix
+    takes the pivoted elimination."""
+
+    def run(mats):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", _no_cholesky)
+            return logdet_psd_stack(mats)
+
+    return run
+
+
+@pytest.fixture
+def fallback_sizes(monkeypatch):
+    """Records how many matrices each call hands to the pivoted elimination."""
+    sizes = []
+    inner = kernels._logdet_pivoted
+
+    def counted(a, tol):
+        sizes.append(a.shape[0])
+        return inner(a, tol)
+
+    monkeypatch.setattr(kernels, "_logdet_pivoted", counted)
+    return sizes
+
+
+def _wishart(rng, shape, n):
+    # well conditioned, and exactly symmetric, as a matrix product need not be
+    x = rng.standard_normal((*shape, n, 3 * n + 2))
+    w = x @ x.swapaxes(-1, -2)
+    return (w + w.swapaxes(-1, -2)) / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_routed_logdet_matches_the_pivoted_path_on_pd_stacks(n, pivoted, fallback_sizes):
+    a = _wishart(np.random.default_rng(40 + n), (300,), n)
+    ref = pivoted(a)
+    fallback_sizes.clear()
+    got = logdet_psd_stack(a)
+    assert fallback_sizes == []
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+def _with_det(rng, n, scale, factor, tol=DEFAULT_PIVOT_TOL):
+    # a rotated diag(scale, ..., scale, eps) whose det is about factor * tol * D**n,
+    # D its largest diagonal entry
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    top = (q[:, :-1] ** 2).sum(axis=1).max() * scale
+    eps = factor * tol * top**n / scale ** (n - 1)
+    m = (q * np.r_[np.full(n - 1, scale), eps]) @ q.T
+    return (m + m.T) / 2
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_routing_keeps_singular_verdicts_near_the_tolerance(n, pivoted, fallback_sizes):
+    rng = np.random.default_rng(50 + n)
+    factors = (0.5, 2.0, 2e3, 1e12)
+    a = np.array([_with_det(rng, n, scale, f) for f in factors for scale in (1e-3, 1.0, 7.0)])
+    ref = pivoted(a)
+    fallback_sizes.clear()
+    got = logdet_psd_stack(a)
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    live = ~np.isneginf(ref)
+    # condition numbers reach 1e12: the two paths agree to rounding amplified by them
+    assert np.allclose(got[live], ref[live], rtol=1e-6, atol=0)
+    # the well-conditioned matrices (factor 1e12) certify, and both verdicts occur
+    assert sum(fallback_sizes) <= len(a) - 3
+    assert np.isneginf(ref).any() and live.any()
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]])
+def test_routing_raises_not_psd_on_both_paths(bad, pivoted):
+    a = np.stack([np.eye(2), bad, 2 * np.eye(2)])
+    with pytest.raises(NotPsdError):
+        pivoted(a)
+    with pytest.raises(NotPsdError):
+        logdet_psd_stack(a)
+
+
+def test_asymmetric_and_nan_matrices_keep_their_pivoted_values(pivoted, fallback_sizes):
+    asym = [[1.0, 0.5], [0.4, 1.0]]
+    nan = [[1.0, np.nan], [np.nan, 1.0]]
+    a = np.stack([np.eye(2), asym, nan, [[2.0, 1.0], [1.0, 2.0]]])
+    ref = pivoted(a)
+    fallback_sizes.clear()
+    got = logdet_psd_stack(a)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert fallback_sizes == [2]  # Cholesky runs on the two clean matrices only
+
+
+def test_one_singular_matrix_inside_a_pd_stack(pivoted, fallback_sizes):
+    a = _wishart(np.random.default_rng(60), (20,), 4)
+    a[7] = np.ones((4, 4))  # Cholesky fails on it, and so on any batch holding it
+    ref = pivoted(a)
+    fallback_sizes.clear()
+    got = logdet_psd_stack(a)
+    assert fallback_sizes == [1]
+    assert np.isneginf(got[7]) and np.isneginf(ref[7])
+    assert np.isneginf(got).sum() == 1
+    assert np.allclose(got, ref, rtol=1e-12, atol=0)
+    # each value is the one its matrix gets alone, whatever shares its stack
+    assert np.array_equal(got, [logdet_psd_stack(m) for m in a])
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_routing_keeps_batch_shapes(n, pivoted):
+    a = _wishart(np.random.default_rng(70 + n), (2, 3), n)
+    got = logdet_psd_stack(a)
+    assert got.shape == (2, 3)
+    assert np.allclose(got, pivoted(a), rtol=1e-12, atol=0)
+    assert logdet_psd_stack(a[0, 0]).shape == ()
+    if n == 0:
+        assert np.array_equal(got, np.zeros((2, 3)))
+
+
+def test_routing_reads_a_strided_stack_in_place(pivoted):
+    # the Monte Carlo subset stacks arrive with the batch axis innermost
+    g = _wishart(np.random.default_rng(80), (50,), 6)
+    idx = np.array([[0, 1, 2], [1, 3, 5], [0, 4, 5]])
+    sub = g[:, idx[:, :, None], idx[:, None, :]]
+    assert not sub.flags.c_contiguous
+    got = logdet_psd_stack(sub)
+    assert np.allclose(got, pivoted(np.ascontiguousarray(sub)), rtol=1e-12, atol=0)
 
 
 # --- spec-level inequalities ------------------------------------------------

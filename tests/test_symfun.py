@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oks import symfun
 from oks.logvalue import LOG_ZERO, is_log_zero, log_binomial
 from oks.symfun import (
     Spectrum,
@@ -116,6 +117,21 @@ def test_esp_brute_examples():
 def test_esp_brute_size_cap():
     with pytest.raises(ValueError):
         esp_brute(Spectrum(np.linspace(23, 1, 23)), 2)
+
+
+def test_logsumexp_rounds_as_scipy_does():
+    # the numpy copy must keep esp_brute's values bit for bit, ties and zeros too
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        a = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 700.0])
+        a[rng.integers(0, n, size=int(rng.integers(0, n + 1)))] = a.max()
+        a[rng.integers(0, n, size=int(rng.integers(0, n)))] = LOG_ZERO
+        assert symfun._logsumexp(a) == logsumexp(a)
+    assert symfun._logsumexp(np.full(3, LOG_ZERO)) == LOG_ZERO
+    assert is_log_zero(esp_brute(spectrum(1.0, 0.0, 0.0), 2))
 
 
 def test_esp_brute_permutation_invariance():
