@@ -30,13 +30,15 @@ def dict_tail_bound(n: int, k: int, alpha: float, spec: Spectrum) -> LogValue:
     """Raw log bound on P[dictionary size >= k] after n samples:
 
         log C(n, k) + log nu(k) - k * log(alpha).
+
+    Above the spectrum's length nu(k) is exactly zero if it declares no tail,
+    so the bound is the zero state; with a declared tail it raises.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if k > spec.size:
-        raise ValueError(f"k={k} exceeds spectrum length {spec.size}")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
+    _check_length(k, spec)
     return float(log_binomial(n, k) + log_nu(spec, k) - k * math.log(alpha))
 
 
@@ -46,7 +48,9 @@ def sample_threshold(k: int, alpha: float, delta: float, spec: Spectrum) -> floa
         (alpha * k / e) * (delta / nu(k)) ** (1/k).
 
     Returns ``inf`` (unbounded) when nu(k) is exactly zero: no sample count
-    can produce more than k dictionary members.
+    can produce more than k dictionary members, as above the length of a
+    spectrum that declares no tail.  Above the length of one that declares
+    a tail it raises.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -54,9 +58,16 @@ def sample_threshold(k: int, alpha: float, delta: float, spec: Spectrum) -> floa
         raise ValueError("alpha must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if k > spec.size:
-        raise ValueError(f"k={k} exceeds spectrum length {spec.size}")
+    _check_length(k, spec)
     return _threshold_from_log_nu(k, alpha, delta, log_nu(spec, k))
+
+
+def _check_length(k: int, spec: Spectrum) -> None:
+    # the retained values alone say nothing of nu(k) past a declared tail
+    if k > spec.size and spec.declared_tail != 0:
+        raise ValueError(
+            f"k={k} exceeds spectrum length {spec.size} and the declared tail leaves nu(k) unknown"
+        )
 
 
 def _threshold_from_log_nu(k: int, alpha: float, delta: float, lnu: LogValue) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -38,7 +37,6 @@ from .harness import (
     write_manifest,
 )
 from .kernels import KernelSpec, gram
-from .logvalue import LOG_ZERO
 from .regress import fit, read_labeled_csv
 from .sparsifier import run_stream, save_dictionary
 from .spectrum import empirical_spectrum, synthetic_spectrum
@@ -77,6 +75,7 @@ class Opt:
 # --out is a setting of the run (dumped and read back); the other two only
 # say how the settings are given
 _OUT = Opt("out", help="output CSV path (default: stdout); a JSON manifest is written alongside")
+_SAMPLER = Opt("sampler", required=True, help="diag:v1,v2 | gauss:dim:scale | data:path")
 _CONTROL = [
     Opt("config", help="key=value file overriding the flags of this run"),
     Opt("dump_config", is_flag=True, help="print the effective configuration and exit"),
@@ -198,7 +197,21 @@ def _trace_csv(trace) -> str:
     return _csv(["n", "dict_size", "log_det"], zip(trace.samples, trace.dict_size, trace.log_det))
 
 
-def _emit(eff: dict, command: str, wall_time_s: float, body: str, inputs=()) -> None:
+def _input_files(eff: dict) -> list[str]:
+    """The files the settings of a run name, whose bytes its manifest hashes:
+    ``data``, ``test``, a ``data:`` sampler, then a spectrum file."""
+    files = [eff[key] for key in ("data", "test") if eff.get(key)]
+    head, _, rest = (eff.get("sampler") or "").strip().partition(":")
+    if head == "data" and rest:
+        files.append(rest)
+    spectrum = eff.get("spectrum")
+    inline = ("geometric", "polynomial", "explicit")
+    if spectrum and spectrum.strip().partition(":")[0] not in inline:
+        files.append(spectrum)
+    return files
+
+
+def _emit(eff: dict, command: str, wall_time_s: float, body: str) -> None:
     """Write the body to ``--out`` with a JSON manifest beside it, or to stdout."""
     if not eff.get("out"):
         sys.stdout.write(body)
@@ -210,16 +223,15 @@ def _emit(eff: dict, command: str, wall_time_s: float, body: str, inputs=()) -> 
         command,
         {k: v for k, v in eff.items() if k != "out"},
         eff.get("seed"),
-        input_paths=inputs,
+        input_paths=_input_files(eff),
         wall_time_s=wall_time_s,
     )
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each computes its body and hands it, with the paths of
-# the inputs it read, to ``emit(body, inputs=())``
+# subcommand handlers: each computes its body and hands it to ``emit(body)``
 
-Emit = Callable[..., None]
+Emit = Callable[[str], None]
 
 
 def _cmd_esp(eff: dict, emit: Emit) -> None:
@@ -242,23 +254,17 @@ def _cmd_esp(eff: dict, emit: Emit) -> None:
 def _cmd_bound(eff: dict, emit: Emit) -> None:
     n, k, alpha = eff["n"], eff["k"], eff["alpha"]
     spec = _load_spectrum(eff["spectrum"], max(4 * k, eff["trunc"]))
-    if k > spec.size:
-        log_bound = LOG_ZERO
-    else:
-        try:
-            log_bound = dict_tail_bound(n, k, alpha, spec)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+    try:
+        log_bound = dict_tail_bound(n, k, alpha, spec)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     raw = float(np.exp(log_bound))
     clamped = min(raw, 1.0)
     header = ["n", "k", "alpha", "log_bound", "probability_raw", "probability"]
     row = [n, k, alpha, log_bound, raw, clamped]
     if eff.get("delta") is not None:
-        threshold = (
-            sample_threshold(k, alpha, eff["delta"], spec) if k <= spec.size else math.inf
-        )
         header += ["delta", "threshold_n"]
-        row += [eff["delta"], threshold]
+        row += [eff["delta"], sample_threshold(k, alpha, eff["delta"], spec)]
     emit(_csv(header, [row]))
 
 
@@ -279,7 +285,7 @@ def _mc_command(summary: str, estimator: Callable, echoed: list[Opt], stat: str 
 
     return summary, handler, [
         Opt("kernel", required=True),
-        Opt("sampler", required=True, help="diag:v1,v2 | gauss:dim:scale | data:path"),
+        _SAMPLER,
         *echoed,
         Opt("trials", int, required=True),
         Opt("seed", int),
@@ -329,7 +335,6 @@ def _cmd_regress(eff: dict, emit: Emit) -> None:
     model = fit(d, xs, ys, eff["ridge"])
     header = ["n", "dict_size", "ridge", "train_mse"]
     row = [xs.shape[0], len(d), eff["ridge"], model.evaluate(xs, ys)]
-    inputs = [eff["data"]]
     if eff.get("test"):
         try:
             tx, ty = read_labeled_csv(eff["test"])
@@ -337,25 +342,15 @@ def _cmd_regress(eff: dict, emit: Emit) -> None:
             raise CliError(f"cannot read {eff['test']!r}: {exc}") from None
         header.append("test_mse")
         row.append(model.evaluate(tx, ty))
-        inputs.append(eff["test"])
-    emit(_csv(header, [row]), inputs)
+    emit(_csv(header, [row]))
 
 
 def _cmd_spectrum_est(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
-    if bool(eff.get("sampler")) == bool(eff.get("data")):
-        raise CliError("give exactly one of --sampler and --data")
-    if eff.get("sampler"):
-        sampler = _parse_sampler(eff["sampler"], eff["seed"])
-        inputs = ()
-    else:
-        sampler = Sampler.dataset(eff["data"], eff["seed"] or 0)
-        inputs = (eff["data"],)
-    pts = sampler.points(eff["n"])
-    spec = empirical_spectrum(gram(kernel, pts), eff["clamp_tol"])
+    pts = _parse_sampler(eff["sampler"], eff["seed"]).points(eff["n"])
     body = io.StringIO()
-    spec.to_csv(body)
-    emit(body.getvalue(), inputs)
+    empirical_spectrum(gram(kernel, pts)).to_csv(body)
+    emit(body.getvalue())
 
 
 def _cmd_oks_run(eff: dict, emit: Emit) -> None:
@@ -364,14 +359,20 @@ def _cmd_oks_run(eff: dict, emit: Emit) -> None:
         pts = dataset_rows(eff["data"])
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read {eff['data']!r}: {exc}") from None
-    d, trace = run_stream(kernel, eff["alpha"], pts, eff["trace_every"])
+    every = eff["trace_every"]
+    if every < 0:
+        raise CliError("--trace-every must be >= 0")
+    marks = range(every, len(pts), every) if every else ()
+    d, trace = run_stream(kernel, eff["alpha"], pts, marks)
     if eff.get("out"):
         save_dictionary(d, eff["out"] + ".dict.csv", eff["out"] + ".dict.json")
-    emit(_trace_csv(trace), (eff["data"],))
+    emit(_trace_csv(trace))
 
 
 # ---------------------------------------------------------------------------
 # wiring: name -> (summary, handler, options)
+
+_TRUNC_HELP = "a synthetic spectrum keeps max(4k, trunc) values"
 
 _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
     "esp": ("tabulate log nu(k) for a spectrum (optionally cross-checked by enumeration)",
@@ -379,7 +380,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
         Opt("spectrum", required=True, help="csv path | geometric:s | polynomial:p | explicit:v1,v2,..."),
         Opt("k", int, required=True),
         Opt("brute", is_flag=True, help="add the subset-enumeration column (length <= 22)"),
-        Opt("trunc", int, default=64, help="truncation length for synthetic spectra"),
+        Opt("trunc", int, default=64, help=_TRUNC_HELP),
     ]),
     "bound": ("dictionary-size tail bound and certified-sample-count threshold", _cmd_bound, [
         Opt("n", int, required=True),
@@ -387,7 +388,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
         Opt("alpha", float, required=True),
         Opt("spectrum", required=True),
         Opt("delta", float, help="also print the certified-sample-count threshold"),
-        Opt("trunc", int, default=64),
+        Opt("trunc", int, default=64, help=_TRUNC_HELP),
     ]),
     "mc-gram": _mc_command("Monte Carlo estimate of the expected Gram determinant",
                            mc_expected_gram_det, [Opt("k", int, required=True)]),
@@ -425,10 +426,8 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
     "spectrum-est": ("empirical spectrum of a sampled or stored Gram matrix", _cmd_spectrum_est, [
         Opt("kernel", required=True),
         Opt("n", int, required=True),
-        Opt("sampler"),
-        Opt("data"),
+        _SAMPLER,
         Opt("seed", int),
-        Opt("clamp_tol", float, default=1e-10),
     ]),
     "oks-run": ("stream a dataset through a dictionary and snapshot the result", _cmd_oks_run, [
         Opt("kernel", required=True),
@@ -465,8 +464,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             _dump(eff, settings)
             return 0
 
-        def emit(body: str, inputs=()) -> None:
-            _emit(eff, ns.command, time.monotonic() - started, body, inputs)
+        def emit(body: str) -> None:
+            _emit(eff, ns.command, time.monotonic() - started, body)
 
         handler(eff, emit)
         return 0

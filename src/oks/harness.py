@@ -30,7 +30,7 @@ from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as th
 
 from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
-from .sparsifier import GrowthTrace, run_checkpoints, run_stream
+from .sparsifier import GrowthTrace, run_stream
 from .symfun import Spectrum
 
 __all__ = [
@@ -162,7 +162,7 @@ def dataset_rows(path: str) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _parse_rows(path: str, mtime_ns: int, size: int) -> np.ndarray:
     # mtime_ns and size only key the cache, so a rewritten file is parsed anew
-    rows = []
+    rows, header = [], False
     with open(path, "r", newline="") as fh:
         for line in fh:
             line = line.strip()
@@ -172,9 +172,9 @@ def _parse_rows(path: str, mtime_ns: int, size: int) -> np.ndarray:
             try:
                 rows.append([float(v) for v in cells])
             except ValueError:
-                if rows:
+                if rows or header:
                     raise ValueError(f"malformed row in {path!r}: {line!r}") from None
-                continue  # tolerate one header row
+                header = True  # tolerate one header row
     if not rows:
         raise ValueError(f"dataset {path!r} contains no numeric rows")
     out = np.array(rows)
@@ -310,11 +310,12 @@ def growth_experiment(
     n_max: int,
     checkpoints: Iterable[int],
 ) -> GrowthTrace:
-    """Stream n_max sampled points through a dictionary, recording at checkpoints."""
+    """Stream n_max sampled points through a dictionary, recording at each
+    checkpoint and at n_max."""
     if not 1 <= n_max <= 100_000:
         raise ValueError("n_max must lie in [1, 100000]")
-    marks = sorted({int(c) for c in checkpoints} | {n_max})
-    return run_checkpoints(kernel, alpha, sampler.points(n_max), marks)[1]
+    marks = sorted({int(c) for c in checkpoints})
+    return run_stream(kernel, alpha, sampler.points(n_max), marks)[1]
 
 
 @dataclass(frozen=True)
@@ -348,27 +349,27 @@ class NystromComparison:
     nystrom_clamped: int
 
 
-def power_iteration_norm(a, max_iter: int = 200, rtol: float = 1e-9) -> float:
+def power_iteration_norm(a) -> float:
     """Spectral norm of a symmetric matrix, or of any operator with ``.shape``
     and ``@``, by power iteration.
 
-    Stops after ``max_iter`` steps or when the Rayleigh quotient changes by
-    less than ``rtol`` relatively, whichever comes first; deterministic
-    (fixed start vector).
+    Stops after 200 steps or when the Rayleigh quotient changes by less than
+    1e-9 relatively, whichever comes first; deterministic (fixed start
+    vector).
     """
     n = a.shape[0]
     if n == 0:
         return 0.0
     v = np.full(n, 1.0 / math.sqrt(n))
     rho = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         w = a @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         rho, rho_old = float(v @ w), rho
         v = w / norm
-        if abs(rho - rho_old) <= rtol * abs(rho):
+        if abs(rho - rho_old) <= 1e-9 * abs(rho):
             break
     return abs(rho)
 

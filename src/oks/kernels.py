@@ -232,20 +232,20 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     return k
 
 
-def logdet_psd_stack(mats, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
+def logdet_psd_stack(mats) -> np.ndarray:
     """Log-determinants of a stack of PSD matrices ``(..., n, n)``.
 
     The result is that of symmetric elimination with diagonal pivoting
     (largest remaining diagonal first), which leaves determinants unchanged
-    and is rank revealing.  A pivot within ``tol * max(diagonal)`` of zero
-    marks that matrix singular (zero state); a pivot below
-    ``-tol * max(diagonal)`` raises :class:`NotPsdError`, since under this
-    pivot order it means every remaining diagonal entry is decisively
-    negative.
+    and is rank revealing.  With t = ``DEFAULT_PIVOT_TOL``, a pivot within
+    ``t * max(diagonal)`` of zero marks that matrix singular (zero state); a
+    pivot below ``-t * max(diagonal)`` raises :class:`NotPsdError`, since
+    under this pivot order it means every remaining diagonal entry is
+    decisively negative.
 
     Most matrices skip that elimination.  One batched Cholesky factorization
     runs first, and a matrix keeps its 2 * sum(log diag L) when that value
-    exceeds ``log(tol) + n * log(D) + margin``, D its largest diagonal
+    exceeds ``log(t) + n * log(D) + margin``, D its largest diagonal
     entry.  The elimination would give it the same value to rounding and
     the same verdict exactly.  Proof sketch, with lambda the smallest
     eigenvalue and u the unit roundoff:
@@ -260,9 +260,9 @@ def logdet_psd_stack(mats, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
       ``|L| |L^T| <= D`` entrywise for Cholesky).
 
     With ``delta = 4 * n**3 * u`` covering both backward errors over D, the
-    margin ``(n - 1) * log(n) + log1p(delta / tol) + log(2)`` puts lambda
-    of the Cholesky product above ``(tol + delta) * D``, so every computed
-    pivot of the elimination exceeds ``tol * D``.  The log(2) absorbs
+    margin ``(n - 1) * log(n) + log1p(delta / t) + log(2)`` puts lambda of
+    the Cholesky product above ``(t + delta) * D``, so every computed pivot
+    of the elimination exceeds ``t * D``.  The log(2) absorbs
     ``(1 + delta)**(n - 1)`` and the rounding of the log sum.  The margin
     grows with n, so near-singular matrices of higher order take the
     elimination more often.
@@ -276,8 +276,6 @@ def logdet_psd_stack(mats, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     a = np.asarray(mats, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected square matrices")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     n = a.shape[-1]
     batch = a.shape[:-2]
     if n == 0:
@@ -288,13 +286,13 @@ def logdet_psd_stack(mats, tol: float = DEFAULT_PIVOT_TOL) -> np.ndarray:
     out = np.empty(a.shape[:-2])
     ld = _cholesky_logdets(a if fast.all() else a[fast]).ravel()
     delta = 4 * n**3 * np.finfo(float).eps / 2
-    margin = (n - 1) * math.log(n) + math.log1p(delta / tol) + math.log(2.0)
+    margin = (n - 1) * math.log(n) + math.log1p(delta / DEFAULT_PIVOT_TOL) + math.log(2.0)
     top = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)[fast]
     out[fast] = ld
     with np.errstate(divide="ignore", invalid="ignore"):  # top <= 0 only where ld is NaN
-        fast[fast] = ld > math.log(tol) + n * np.log(top) + margin  # False where NaN
+        fast[fast] = ld > math.log(DEFAULT_PIVOT_TOL) + n * np.log(top) + margin  # False where NaN
     if not fast.all():
-        out[~fast] = _logdet_pivoted(a[~fast], tol)
+        out[~fast] = _logdet_pivoted(a[~fast])
     return out.reshape(batch)
 
 
@@ -316,12 +314,12 @@ def _cholesky_logdets(a: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def _logdet_pivoted(a: np.ndarray, tol: float) -> np.ndarray:
+def _logdet_pivoted(a: np.ndarray) -> np.ndarray:
     """The diagonal-pivoted elimination of :func:`logdet_psd_stack` on a
     stack ``(b, n, n)`` with n >= 1, which it overwrites."""
     nb, n, _ = a.shape
     bi = np.arange(nb)
-    thr = tol * np.maximum(np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1), 0.0)
+    thr = DEFAULT_PIVOT_TOL * np.maximum(np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1), 0.0)
     out = np.zeros(nb)
     zero = np.zeros(nb, dtype=bool)
     with np.errstate(divide="ignore"):
@@ -338,7 +336,8 @@ def _logdet_pivoted(a: np.ndarray, tol: float) -> np.ndarray:
             live = ~zero
             if np.any((p < -thr) & live):
                 raise NotPsdError(
-                    "pivot below -tol * max(diagonal): matrix is not positive semi-definite"
+                    "pivot below -DEFAULT_PIVOT_TOL * max(diagonal): "
+                    "matrix is not positive semi-definite"
                 )
             zero = zero | ((p <= thr) & live)
             live = ~zero
@@ -350,7 +349,7 @@ def _logdet_pivoted(a: np.ndarray, tol: float) -> np.ndarray:
     return np.where(zero, LOG_ZERO, out)
 
 
-def log_det_psd(m, tol: float = DEFAULT_PIVOT_TOL) -> LogValue:
+def log_det_psd(m) -> LogValue:
     """Log-determinant of one symmetric PSD matrix.
 
     Returns the zero state (``-inf``) for singular input; an order-0 matrix
@@ -365,4 +364,4 @@ def log_det_psd(m, tol: float = DEFAULT_PIVOT_TOL) -> LogValue:
         raise ValueError("matrix contains non-finite entries")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    return float(logdet_psd_stack(a, tol))
+    return float(logdet_psd_stack(a))

@@ -34,15 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import (
-    DEFAULT_PIVOT_TOL,
-    KernelSpec,
-    gram,
-    gram_cross,
-    kernel_diag,
-    log_det_psd,
-    logdet_psd_stack,
-)
+from .kernels import KernelSpec, gram, gram_cross, kernel_diag, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
 
 __all__ = [
@@ -51,7 +43,6 @@ __all__ = [
     "GrowthTrace",
     "NumericalConsistencyError",
     "run_stream",
-    "run_checkpoints",
     "check_alpha_compatible",
     "kstar_oracle",
     "save_dictionary",
@@ -278,51 +269,33 @@ class GrowthTrace:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @classmethod
-    def from_records(cls, records: Sequence[tuple]) -> "GrowthTrace":
-        if not records:
-            raise ValueError("a trace needs at least one record")
-        n, size, ld = zip(*records)
-        return cls(np.array(n), np.array(size), np.array(ld))
-
 
 def run_stream(
-    kernel: KernelSpec,
-    alpha: float,
-    points,
-    trace_every: int = 0,
+    kernel: KernelSpec, alpha: float, points, marks: Sequence[int] = ()
 ) -> tuple[Dictionary, GrowthTrace]:
-    """Offer points in order; record (n, |D|, log det) every ``trace_every``
-    samples (0 records only the final state) and always at the end."""
+    """Offer points in order; record (n, |D|, log det) once the first n points
+    are offered, for each n in ``marks`` and for n at the end of the stream.
+
+    ``marks`` must increase strictly, from at least 1 up to at most the
+    number of points; a mark at the end is recorded once.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("expected a nonempty (n, d) stream of points")
-    if trace_every < 0:
-        raise ValueError("trace_every must be >= 0")
-    total = pts.shape[0]
-    marks = list(range(trace_every, total, trace_every)) if trace_every else []
-    return run_checkpoints(kernel, alpha, pts, [*marks, total])
-
-
-def run_checkpoints(
-    kernel: KernelSpec, alpha: float, points, marks: Sequence[int]
-) -> tuple[Dictionary, GrowthTrace]:
-    """Offer points in order; record (n, |D|, log det) once the first n points
-    are offered, for each n in ``marks``: strictly increasing, from at least 1
-    up to the number of points."""
-    pts = np.asarray(points, dtype=float)
-    if not marks or marks[0] < 1 or marks[-1] != len(pts) or any(
-        b <= a for a, b in zip(marks, marks[1:])
-    ):
-        raise ValueError("checkpoints must increase strictly from 1 or more to the stream length")
+    ends = [*marks]
+    if not ends or ends[-1] != len(pts):
+        ends.append(len(pts))
+    if ends[0] < 1 or any(b <= a for a, b in zip(ends, ends[1:])):
+        raise ValueError("marks must increase strictly from 1 or more to at most the stream length")
     d = Dictionary(kernel, alpha)
-    records = []
+    sizes, log_dets = [], []
     seen = 0
-    for mark in marks:
+    for mark in ends:
         d.extend(pts[seen:mark])
         seen = mark
-        records.append((seen, len(d), d.log_det))
-    return d, GrowthTrace.from_records(records)
+        sizes.append(len(d))
+        log_dets.append(d.log_det)
+    return d, GrowthTrace(np.array(ends), np.array(sizes), np.array(log_dets))
 
 
 def check_alpha_compatible(kernel: KernelSpec, alpha: float, seq) -> bool:
@@ -377,7 +350,7 @@ def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
     for j in range(n, 0, -1):
         idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
         subs = g[idx[:, :, None], idx[:, None, :]]
-        ld = logdet_psd_stack(subs, DEFAULT_PIVOT_TOL)
+        ld = logdet_psd_stack(subs)
         if np.any(ld > j * log_alpha):
             return j
     return 0

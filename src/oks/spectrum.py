@@ -17,11 +17,11 @@ __all__ = [
 DEFAULT_CLAMP_TOL = 1e-10
 
 
-def empirical_spectrum(g, clamp_tol: float = DEFAULT_CLAMP_TOL) -> Spectrum:
+def empirical_spectrum(g) -> Spectrum:
     """Eigenvalues of n^-1 G, sorted descending, as a finite spectrum.
 
-    Eigenvalues in ``[-clamp_tol * lam_max, 0)`` are clamped to zero (RBF
-    Grams of near-duplicate points produce tiny negative eigenvalues in
+    Eigenvalues in ``[-DEFAULT_CLAMP_TOL * lam_max, 0)`` are clamped to zero
+    (RBF Grams of near-duplicate points produce tiny negative eigenvalues in
     double precision); anything lower raises :class:`NotPsdError`.
     """
     a = np.asarray(g, dtype=float)
@@ -29,13 +29,11 @@ def empirical_spectrum(g, clamp_tol: float = DEFAULT_CLAMP_TOL) -> Spectrum:
         raise ValueError("expected a square Gram matrix of order >= 1")
     if not np.array_equal(a, a.T):
         raise ValueError("Gram matrix is not symmetric")
-    if not clamp_tol > 0:
-        raise ValueError("clamp_tol must be positive")
     n = a.shape[0]
     w = np.linalg.eigvalsh(a / n)
     lam_max = max(float(w[-1]), 0.0)
-    if np.any(w < -clamp_tol * lam_max):
-        raise NotPsdError("eigenvalue below -clamp_tol * lam_max: input is not PSD")
+    if np.any(w < -DEFAULT_CLAMP_TOL * lam_max):
+        raise NotPsdError("eigenvalue below -DEFAULT_CLAMP_TOL * lam_max: input is not PSD")
     w = np.where(w < 0, 0.0, w)
     return Spectrum(w[::-1], 0.0)
 

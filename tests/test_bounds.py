@@ -35,9 +35,12 @@ def test_tail_bound_validation():
     with pytest.raises(ValueError):
         dict_tail_bound(2, 3, 1.0, spectrum(1.0, 0.5, 0.25))
     with pytest.raises(ValueError):
-        dict_tail_bound(4, 3, 1.0, spectrum(1.0, 0.5))
-    with pytest.raises(ValueError):
         dict_tail_bound(4, 2, 0.0, spectrum(1.0, 0.5))
+    # beyond the retained values nu(k) is exactly zero without a declared
+    # tail, and unknown with one
+    assert is_log_zero(dict_tail_bound(4, 3, 1.0, spectrum(1.0, 0.5)))
+    with pytest.raises(ValueError):
+        dict_tail_bound(4, 3, 1.0, Spectrum(np.array([1.0, 0.5]), 0.25))
 
 
 def test_tail_bound_monotonicity():
@@ -99,8 +102,11 @@ def test_threshold_validation():
         sample_threshold(0, 1.0, 0.1, s)
     with pytest.raises(ValueError):
         sample_threshold(1, 1.0, 1.5, s)
+    # beyond the retained values nu(k) is exactly zero without a declared
+    # tail, and unknown with one
+    assert sample_threshold(3, 1.0, 0.1, s) == math.inf
     with pytest.raises(ValueError):
-        sample_threshold(3, 1.0, 0.1, s)
+        sample_threshold(3, 1.0, 0.1, Spectrum(np.array([1.0, 0.5]), 0.25))
 
 
 # --- growth_prediction -----------------------------------------------------------

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,9 @@ def inputs(tmp_path):
     points.write_text("x0,x1\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in xs))
     labeled = tmp_path / "labeled.csv"
     write_labeled_csv(str(labeled), xs, np.sin(xs[:, 0]) + 0.3 * xs[:, 1])
-    return {"points": str(points), "labeled": str(labeled)}
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("0.4\n0.3\n")
+    return {"points": str(points), "labeled": str(labeled), "spectrum": str(spectrum)}
 
 
 def _invocations(inputs):
@@ -44,8 +48,8 @@ def _invocations(inputs):
                     "--seed", "5"],
         "regress": ["regress", "--kernel", "rbf:1.0", "--alpha", "0.05",
                     "--data", inputs["labeled"], "--test", inputs["labeled"], "--ridge", "1e-3"],
-        "spectrum-est": ["spectrum-est", "--kernel", "rbf:1.0", "--n", "30", "--data",
-                         inputs["points"]],
+        "spectrum-est": ["spectrum-est", "--kernel", "rbf:1.0", "--n", "30",
+                         "--sampler", f"data:{inputs['points']}"],
         "oks-run": ["oks-run", "--kernel", "rbf:1.0", "--alpha", "0.05", "--data",
                     inputs["points"], "--trace-every", "10"],
     }
@@ -229,6 +233,56 @@ def test_kstar_tail_nonpositive_alpha_exits_1(capsys):
         assert "error: alpha must be positive" in err
 
 
+@pytest.mark.parametrize("flags", [["--data", "{points}"],
+                                   ["--sampler", "data:{points}", "--clamp-tol", "1e-10"]],
+                         ids=["data", "clamp-tol"])
+def test_spectrum_est_retired_flags_exit_1(flags, inputs, capsys):
+    # a data: sampler is the one way to read points; the clamp is a constant
+    args = ["spectrum-est", "--kernel", "rbf:1.0", "--n", "5", *[f.format(**inputs) for f in flags]]
+    rc, stdout, err = _run(capsys, args)
+    assert rc == 1
+    assert stdout == ""
+    assert "usage error" in err
+
+
+def test_oks_run_negative_trace_every_exits_1(inputs, capsys):
+    rc, stdout, err = _run(capsys, ["oks-run", "--kernel", "rbf:1.0", "--alpha", "0.05",
+                                    "--data", inputs["points"], "--trace-every", "-1"])
+    assert rc == 1
+    assert stdout == ""
+    assert "usage error: --trace-every must be >= 0" in err
+
+
+def test_bound_beyond_a_declared_tail_exits_1(tmp_path, capsys):
+    spectrum = tmp_path / "tailed.csv"
+    spectrum.write_text("# tail=0.5\n0.4\n0.3\n")
+    rc, stdout, err = _run(capsys, ["bound", "--n", "10", "--k", "3", "--alpha", "0.5",
+                                    "--spectrum", str(spectrum), "--delta", "0.1"])
+    assert rc == 1
+    assert stdout == ""
+    assert "usage error: k=3 exceeds spectrum length 2" in err
+
+
+def test_bound_beyond_a_finite_spectrum_is_probability_0(capsys):
+    rc, stdout, _ = _run(capsys, ["bound", "--n", "10", "--k", "3", "--alpha", "0.5",
+                                  "--spectrum", "explicit:0.4,0.3", "--delta", "0.1"])
+    assert rc == 0
+    header, row = stdout.splitlines()
+    assert header == "n,k,alpha,log_bound,probability_raw,probability,delta,threshold_n"
+    assert row == "10,3,0.5,-inf,0.0,0.0,0.1,inf"
+
+
+@pytest.mark.parametrize("n, alpha, delta", [("2", "0.5", "0.1"), ("10", "0", "0.1"),
+                                             ("10", "0.5", "2")],
+                         ids=["k-above-n", "alpha", "delta"])
+def test_bound_beyond_a_finite_spectrum_still_checks_its_arguments(n, alpha, delta, capsys):
+    rc, stdout, err = _run(capsys, ["bound", "--n", n, "--k", "3", "--alpha", alpha,
+                                    "--spectrum", "explicit:0.4,0.3", "--delta", delta])
+    assert rc == 1
+    assert stdout == ""
+    assert "error" in err
+
+
 def test_missing_subcommand_and_required_option_exit_1(capsys):
     assert _run(capsys, [])[0] == 1
     assert _run(capsys, ["esp", "--k", "3"])[0] == 1
@@ -250,7 +304,7 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     "args",
     [
         ["oks-run", "--kernel", "rbf:1.0", "--alpha", "0.1", "--data", "{missing}"],
-        ["spectrum-est", "--kernel", "rbf:1.0", "--n", "5", "--data", "{missing}"],
+        ["spectrum-est", "--kernel", "rbf:1.0", "--n", "5", "--sampler", "data:{missing}"],
         ["regress", "--kernel", "rbf:1.0", "--alpha", "0.1", "--data", "{missing}"],
         ["esp", "--config", "{missing}"],
     ],
@@ -329,9 +383,17 @@ def test_dump_config_round_trip(command, inputs, tmp_path, capsys):
 
 # --- manifest input_hash -----------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["spectrum-est", "oks-run"])
+@pytest.mark.parametrize("command", ["spectrum-est", "oks-run", "growth", "bound"])
 def test_input_hash_follows_data_bytes(command, inputs, tmp_path, capsys):
-    args = _invocations(inputs)[command]
+    # each run with the file it reads and a row that keeps that file valid
+    args, read, row = {
+        "spectrum-est": (_invocations(inputs)[command], "points", "0.25,-0.5\n"),
+        "oks-run": (_invocations(inputs)[command], "points", "0.25,-0.5\n"),
+        "growth": (["growth", "--kernel", "rbf:1.0", "--alpha", "0.05", "--n", "30",
+                    "--sampler", f"data:{inputs['points']}"], "points", "0.25,-0.5\n"),
+        "bound": (["bound", "--n", "10", "--k", "2", "--alpha", "0.5",
+                   "--spectrum", inputs["spectrum"]], "spectrum", "0.2\n"),
+    }[command]
 
     def input_hash(tag):
         out = tmp_path / f"{tag}.csv"
@@ -340,9 +402,21 @@ def test_input_hash_follows_data_bytes(command, inputs, tmp_path, capsys):
 
     first = input_hash("first")
     assert input_hash("again") == first
-    with open(inputs["points"], "a") as fh:
-        fh.write("0.25,-0.5\n")
+    with open(inputs[read], "a") as fh:
+        fh.write(row)
     assert input_hash("changed") != first
+
+
+# --- package surface ---------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    # a deleted function must not linger in an __all__
+    modules = [oks] + [importlib.import_module(f"oks.{m.name}")
+                       for m in pkgutil.iter_modules(oks.__path__) if m.name != "__main__"]
+    assert len(modules) == 10
+    for module in modules:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name!r}"
 
 
 # --- start-up cost ---------------------------------------------------------------

@@ -178,6 +178,15 @@ def test_dataset_rewritten_in_process_is_read_anew(tmp_path):
     assert s.points(3).tolist() == [[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]]
 
 
+def test_dataset_skips_exactly_one_header_row(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("# comment\n\na,b\n1,2\n")
+    assert harness.dataset_rows(str(path)).tolist() == [[1.0, 2.0]]
+    path.write_text("a,b\nc,d\nnot,numbers\n1,2\n")
+    with pytest.raises(ValueError, match="malformed row"):
+        harness.dataset_rows(str(path))
+
+
 # --- Monte Carlo estimators ------------------------------------------------------
 
 def test_mc_estimate_validation():
@@ -293,9 +302,9 @@ def _count_fallback(monkeypatch):
     sizes = []
     inner = kernels._logdet_pivoted
 
-    def counted(a, tol):
+    def counted(a):
         sizes.append(a.shape[0])
-        return inner(a, tol)
+        return inner(a)
 
     monkeypatch.setattr(kernels, "_logdet_pivoted", counted)
     return sizes

@@ -135,10 +135,21 @@ def test_stream_orthonormal_basis():
 
 def test_stream_trace_records():
     pts = np.random.default_rng(0).standard_normal((10, 1))
-    _, trace = run_stream(rbf(1.0), 0.2, pts, trace_every=3)
+    _, trace = run_stream(rbf(1.0), 0.2, pts, [3, 6, 9])
     assert list(trace.samples) == [3, 6, 9, 10]
     assert np.all(trace.dict_size[1:] >= trace.dict_size[:-1])
     assert np.all(trace.dict_size <= trace.samples)
+
+
+def test_stream_records_a_mark_at_the_end_once():
+    pts = np.random.default_rng(0).standard_normal((10, 1))
+    _, plain = run_stream(rbf(1.0), 0.2, pts, [4])
+    _, ended = run_stream(rbf(1.0), 0.2, pts, [4, 10])
+    assert list(ended.samples) == list(plain.samples) == [4, 10]
+    assert np.array_equal(ended.dict_size, plain.dict_size)
+    for marks in ([0, 4], [4, 4], [6, 4], [4, 11]):
+        with pytest.raises(ValueError):
+            run_stream(rbf(1.0), 0.2, pts, marks)
 
 
 def test_stream_rejects_empty():
@@ -151,7 +162,7 @@ def test_stream_matches_dense_reference_run():
     # implementation that recomputes each residual by a dense solve
     rng = np.random.default_rng(77)
     pts = rng.standard_normal((10_000, 1))
-    d, trace = run_stream(rbf(1.0), 0.01, pts, trace_every=2500)
+    d, trace = run_stream(rbf(1.0), 0.01, pts, [2500, 5000, 7500])
 
     members: list[np.ndarray] = []
     sizes = []
