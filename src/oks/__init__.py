@@ -14,10 +14,12 @@ from .harness import (
     NystromComparison,
     Sampler,
     growth_experiment,
+    load_dictionary,
     mc_det_moment,
     mc_expected_gram_det,
     mc_kstar_tail,
     nystrom_compare,
+    save_dictionary,
 )
 from .kernels import (
     KernelSpec,
@@ -41,9 +43,7 @@ from .sparsifier import (
     NumericalConsistencyError,
     check_alpha_compatible,
     kstar_oracle,
-    load_dictionary,
     run_stream,
-    save_dictionary,
 )
 from .spectrum import empirical_spectrum, spectrum_l1_gap, synthetic_spectrum
 from .symfun import (

@@ -7,6 +7,11 @@ argument parsing until the body is written.  Exit codes: 0 success, 1 usage
 error (bad flags, malformed config, missing files), 2 validation failure (an
 asserted inequality was violated by the run).
 
+Every numeric CSV read (``--data``, ``--test``, ``data:``) or snapshotted
+(``oks-run --out``) is one table format: rows of comma-separated numbers as
+wide as the first, skipping blank lines and ``#`` comments, below an optional
+non-numeric header row (``regress`` requires one ending in ``y``).
+
 A flat ``key=value`` config file mirrors the flags 1:1 and, when given via
 ``--config``, overrides them; ``--dump-config`` prints the effective
 configuration of a run and exits, and re-ingesting that output reproduces
@@ -33,12 +38,13 @@ from .harness import (
     mc_kstar_tail,
     growth_experiment,
     nystrom_compare,
+    save_dictionary,
     write_csv,
     write_manifest,
 )
 from .kernels import KernelSpec, gram
 from .regress import fit, read_labeled_csv
-from .sparsifier import run_stream, save_dictionary
+from .sparsifier import run_stream
 from .spectrum import empirical_spectrum, synthetic_spectrum
 from .symfun import Spectrum, esp_brute, log_nu_row
 
@@ -253,18 +259,20 @@ def _cmd_esp(eff: dict, emit: Emit) -> None:
 
 def _cmd_bound(eff: dict, emit: Emit) -> None:
     n, k, alpha = eff["n"], eff["k"], eff["alpha"]
+    delta = eff.get("delta")
     spec = _load_spectrum(eff["spectrum"], max(4 * k, eff["trunc"]))
     try:
         log_bound = dict_tail_bound(n, k, alpha, spec)
+        threshold = None if delta is None else sample_threshold(k, alpha, delta, spec)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     raw = float(np.exp(log_bound))
     clamped = min(raw, 1.0)
     header = ["n", "k", "alpha", "log_bound", "probability_raw", "probability"]
     row = [n, k, alpha, log_bound, raw, clamped]
-    if eff.get("delta") is not None:
+    if delta is not None:
         header += ["delta", "threshold_n"]
-        row += [eff["delta"], sample_threshold(k, alpha, eff["delta"], spec)]
+        row += [delta, threshold]
     emit(_csv(header, [row]))
 
 
@@ -365,7 +373,7 @@ def _cmd_oks_run(eff: dict, emit: Emit) -> None:
     marks = range(every, len(pts), every) if every else ()
     d, trace = run_stream(kernel, eff["alpha"], pts, marks)
     if eff.get("out"):
-        save_dictionary(d, eff["out"] + ".dict.csv", eff["out"] + ".dict.json")
+        save_dictionary(d, eff["out"] + ".dict.csv")
     emit(_trace_csv(trace))
 
 
@@ -419,8 +427,8 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
     "regress": ("dictionary-feature least squares on a labeled dataset", _cmd_regress, [
         Opt("kernel", required=True),
         Opt("alpha", float, required=True),
-        Opt("data", required=True, help="labeled CSV: feature columns then a final y column"),
-        Opt("test", help="labeled CSV used for the test MSE column"),
+        Opt("data", required=True, help="labeled CSV table: a header, feature columns, then y"),
+        Opt("test", help="labeled CSV table, as --data, used for the test MSE column"),
         Opt("ridge", float, default=0.0),
     ]),
     "spectrum-est": ("empirical spectrum of a sampled or stored Gram matrix", _cmd_spectrum_est, [
@@ -432,7 +440,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
     "oks-run": ("stream a dataset through a dictionary and snapshot the result", _cmd_oks_run, [
         Opt("kernel", required=True),
         Opt("alpha", float, required=True),
-        Opt("data", required=True, help="CSV of point coordinates, one row per sample"),
+        Opt("data", required=True, help="CSV table of point coordinates, one row per sample"),
         Opt("trace_every", int, default=0),
     ]),
 }

@@ -1,4 +1,4 @@
-"""Samplers, Monte Carlo estimators, and end-to-end validation experiments.
+"""Samplers, Monte Carlo estimators, validation experiments, and CSV/JSON persistence.
 
 Reproducibility contract: trial t draws its randomness from the Philox stream
 keyed [seed, 1 + t] (seed taken mod 2**64) with counter 0 and an empty output
@@ -30,12 +30,11 @@ from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as th
 
 from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
-from .sparsifier import GrowthTrace, run_stream
+from .sparsifier import Dictionary, GrowthTrace, run_stream
 from .symfun import Spectrum
 
 __all__ = [
     "Sampler",
-    "dataset_rows",
     "McEstimate",
     "NystromComparison",
     "mc_expected_gram_det",
@@ -44,6 +43,10 @@ __all__ = [
     "growth_experiment",
     "nystrom_compare",
     "power_iteration_norm",
+    "read_table",
+    "dataset_rows",
+    "save_dictionary",
+    "load_dictionary",
     "write_csv",
     "format_cell",
     "content_hash",
@@ -148,38 +151,6 @@ class Sampler:
             raise ValueError(f"dataset {self.path!r} exhausted: need rows [{start}, {start + n})")
         z = rows[blocks.start * n : blocks.stop * n]
         return z.reshape(len(blocks), n, rows.shape[1]).copy()
-
-
-def dataset_rows(path: str) -> np.ndarray:
-    """Numeric rows of a dataset CSV (read-only), re-read whenever the file changes.
-
-    Blank lines, ``#`` comments and one leading header row are skipped.
-    """
-    st = os.stat(path)
-    return _parse_rows(path, st.st_mtime_ns, st.st_size)
-
-
-@lru_cache(maxsize=8)
-def _parse_rows(path: str, mtime_ns: int, size: int) -> np.ndarray:
-    # mtime_ns and size only key the cache, so a rewritten file is parsed anew
-    rows, header = [], False
-    with open(path, "r", newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            try:
-                rows.append([float(v) for v in cells])
-            except ValueError:
-                if rows or header:
-                    raise ValueError(f"malformed row in {path!r}: {line!r}") from None
-                header = True  # tolerate one header row
-    if not rows:
-        raise ValueError(f"dataset {path!r} contains no numeric rows")
-    out = np.array(rows)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -419,7 +390,96 @@ def nystrom_compare(
 
 
 # ---------------------------------------------------------------------------
-# experiment persistence: CSV bodies plus a JSON run manifest
+# persistence: numeric CSV tables, dictionary snapshots, and experiment CSV
+# bodies plus a JSON run manifest
+
+def read_table(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header cells and numeric rows (read-only) of a CSV table, re-read
+    whenever the file changes.
+
+    Blank lines and ``#`` comments are skipped.  The first non-numeric row is
+    the header (``()`` when there is none) and a later one is malformed.
+    Every row, the header included, is as wide as the first.
+    """
+    st = os.stat(path)
+    return _read_table(path, st.st_mtime_ns, st.st_size)
+
+
+@lru_cache(maxsize=8)
+def _read_table(path: str, mtime_ns: int, size: int) -> tuple[tuple[str, ...], np.ndarray]:
+    # mtime_ns and size only key the cache, so a rewritten file is parsed anew
+    header, rows, width = (), [], 0
+    with open(path, "r", newline="") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = line.split(",")
+            width = width or len(cells)
+            if len(cells) != width:
+                raise ValueError(
+                    f"ragged table {path!r}: a row has {len(cells)} cells, the first row {width}"
+                )
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError:
+                if rows or header:
+                    raise ValueError(f"malformed row in {path!r}: {line!r}") from None
+                header = tuple(c.strip() for c in cells)
+    out = np.array(rows).reshape(len(rows), width)
+    out.setflags(write=False)
+    return header, out
+
+
+def dataset_rows(path: str) -> np.ndarray:
+    """Numeric rows of a dataset table (read-only); see :func:`read_table`."""
+    rows = read_table(path)[1]
+    if not len(rows):
+        raise ValueError(f"dataset {path!r} contains no numeric rows")
+    return rows
+
+
+def _sidecar_path(csv_path: str) -> str:
+    return os.path.splitext(csv_path)[0] + ".json"
+
+
+def save_dictionary(d: Dictionary, csv_path: str) -> None:
+    """Snapshot: member coordinates as a table under the header x0, x1, ...,
+    plus a JSON sidecar with the kernel spec, alpha, size and log-determinant.
+
+    The sidecar's path is ``csv_path`` with its suffix swapped for ``.json``
+    (``run.dict.csv`` -> ``run.dict.json``).
+    """
+    members = d.members
+    write_csv(csv_path, [f"x{i}" for i in range(members.shape[1])], members)
+    _write_json(_sidecar_path(csv_path), {
+        "kernel": d.kernel.to_text(),
+        "alpha": d.alpha,
+        "size": len(d),
+        "log_det": d.log_det,
+    })
+
+
+def load_dictionary(csv_path: str) -> Dictionary:
+    """Rebuild a dictionary from a snapshot by replaying the admissions.
+
+    Every stored member must re-admit (the member sequence is
+    alpha-compatible by construction); a failure indicates a corrupt
+    snapshot.
+    """
+    with open(_sidecar_path(csv_path)) as fh:
+        sidecar = json.load(fh)
+    header, members = read_table(csv_path)
+    if header[:1] != ("x0",):
+        raise ValueError("dictionary snapshot is missing its header row")
+    d = Dictionary(KernelSpec.from_text(sidecar["kernel"]), float(sidecar["alpha"]))
+    d.extend(members)
+    if len(d) != len(members):
+        raise ValueError("snapshot member failed to re-admit; file is corrupt")
+    if len(d) != int(sidecar["size"]):
+        raise ValueError("snapshot size disagrees with sidecar")
+    return d
+
 
 def format_cell(value) -> str:
     """Stable text form: full-precision repr for floats, "" for None, plain str otherwise.
@@ -476,6 +536,10 @@ def write_manifest(
         "wall_time_s": wall_time_s,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
+    _write_json(path, payload)
+
+
+def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")

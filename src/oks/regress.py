@@ -9,13 +9,12 @@ column is Q^T y, so Q is never formed: one back substitution gives weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
 
 import numpy as np
 from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as the sparsifier's
 
+from .harness import read_table, write_csv
 from .kernels import gram_cross
 from .sparsifier import Dictionary
 
@@ -104,44 +103,21 @@ def fit(dictionary: Dictionary, xs, ys, ridge: float = 0.0) -> RegressionModel:
     return RegressionModel(dictionary, weights, float(ridge))
 
 
-def read_labeled_csv(source: Union[str, IO[str]]) -> tuple[np.ndarray, np.ndarray]:
-    """Read labeled data: feature columns then a final ``y`` column.
+def read_labeled_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read labeled data: feature columns then a final ``y`` column, as
+    read-only views of the table :func:`oks.harness.read_table` reads.
 
     The header row is required; its last entry must be ``y``.
     """
-    if isinstance(source, str):
-        with open(source, "r", newline="") as fh:
-            return read_labeled_csv(fh)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("labeled CSV is empty; a header row is required") from None
-    if len(header) < 2 or header[-1].strip() != "y":
+    header, data = read_table(path)
+    if len(header) < 2 or header[-1] != "y":
         raise ValueError("labeled CSV header must end with a 'y' column")
-    rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+    if not len(data):
         raise ValueError("labeled CSV contains no data rows")
-    data = np.array(rows)
-    if data.shape[1] != len(header):
-        raise ValueError("labeled CSV rows disagree with header width")
     return data[:, :-1], data[:, -1]
 
 
-def write_labeled_csv(
-    target: Union[str, IO[str]],
-    xs,
-    ys,
-    feature_names: Sequence[str] | None = None,
-) -> None:
-    if isinstance(target, str):
-        with open(target, "w", newline="") as fh:
-            write_labeled_csv(fh, xs, ys, feature_names)
-        return
+def write_labeled_csv(path: str, xs, ys) -> None:
+    """Write labeled data under the header x0, x1, ..., y."""
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if feature_names is None:
-        feature_names = [f"x{i}" for i in range(xs.shape[1])]
-    target.write(",".join([*feature_names, "y"]) + "\n")
-    for row, y in zip(xs, ys):
-        target.write(",".join(f"{float(v)!r}" for v in row) + f",{float(y)!r}\n")
+    write_csv(path, [*(f"x{i}" for i in range(xs.shape[1])), "y"], np.column_stack([xs, ys]))

@@ -25,7 +25,6 @@ matrices and serve as independent references for tests.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -45,8 +44,6 @@ __all__ = [
     "run_stream",
     "check_alpha_compatible",
     "kstar_oracle",
-    "save_dictionary",
-    "load_dictionary",
 ]
 
 # residuals in [-RESIDUAL_CLAMP * max(1, k(x,x)), 0) are rounding noise;
@@ -354,51 +351,3 @@ def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
         if np.any(ld > j * log_alpha):
             return j
     return 0
-
-
-def save_dictionary(d: Dictionary, csv_path: str, json_path: str | None = None) -> None:
-    """Snapshot: member coordinates as CSV plus a JSON sidecar with the
-    kernel spec, alpha, and log-determinant."""
-    if json_path is None:
-        json_path = csv_path + ".json"
-    members = d.members
-    dim = members.shape[1]
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(f"x{i}" for i in range(dim)) + "\n")
-        for row in members:
-            fh.write(",".join(f"{float(v)!r}" for v in row) + "\n")
-    sidecar = {
-        "kernel": d.kernel.to_text(),
-        "alpha": d.alpha,
-        "size": len(d),
-        "log_det": d.log_det,
-    }
-    with open(json_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_dictionary(csv_path: str, json_path: str | None = None) -> Dictionary:
-    """Rebuild a dictionary from a snapshot by replaying the admissions.
-
-    Every stored member must re-admit (the member sequence is
-    alpha-compatible by construction); a failure indicates a corrupt
-    snapshot.
-    """
-    if json_path is None:
-        json_path = csv_path + ".json"
-    with open(json_path) as fh:
-        sidecar = json.load(fh)
-    kernel = KernelSpec.from_text(sidecar["kernel"])
-    d = Dictionary(kernel, float(sidecar["alpha"]))
-    with open(csv_path, newline="") as fh:
-        header = fh.readline()
-        if not header.startswith("x0"):
-            raise ValueError("dictionary snapshot is missing its header row")
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    d.extend(np.array(rows, dtype=float).reshape(len(rows), len(header.split(","))))
-    if len(d) != len(rows):
-        raise ValueError("snapshot member failed to re-admit; file is corrupt")
-    if len(d) != int(sidecar["size"]):
-        raise ValueError("snapshot size disagrees with sidecar")
-    return d

@@ -14,8 +14,8 @@ import pytest
 import oks
 from oks import cli, harness
 from oks.cli import main
+from oks.harness import load_dictionary
 from oks.regress import write_labeled_csv
-from oks.sparsifier import load_dictionary
 
 
 @pytest.fixture
@@ -192,13 +192,29 @@ def test_oks_run_out_writes_dictionary_snapshot(inputs, tmp_path, capsys):
     assert json.loads((tmp_path / "run.csv.dict.json").read_text())["alpha"] == 0.05
 
 
+def test_oks_run_snapshot_text_is_pinned(tmp_path, capsys):
+    # linear kernel: [1, 0] and [0, 2] are admitted with residuals 1 and 4,
+    # and [1, 1] lies in their span, so its residual is 0
+    data = tmp_path / "points.csv"
+    data.write_text("x0,x1\n1,0\n0,2\n1,1\n")
+    out = tmp_path / "run.csv"
+    rc, _, _ = _run(capsys, ["oks-run", "--kernel", "linear", "--alpha", "0.5",
+                             "--data", str(data), "--out", str(out)])
+    assert rc == 0
+    assert (tmp_path / "run.csv.dict.csv").read_text() == "x0,x1\n1.0,0.0\n0.0,2.0\n"
+    assert (tmp_path / "run.csv.dict.json").read_text() == (
+        '{\n  "alpha": 0.5,\n  "kernel": "linear",\n  "log_det": 1.3862943611198906,\n'
+        '  "size": 2\n}\n'
+    )
+
+
 def test_oks_run_snapshot_of_empty_dictionary_loads_back(inputs, tmp_path, capsys):
     # an rbf kernel has k(x, x) = 1, so alpha = 2 rejects every point
     out = tmp_path / "run.csv"
     rc, _, _ = _run(capsys, ["oks-run", "--kernel", "rbf:1.0", "--alpha", "2.0",
                              "--data", inputs["points"], "--out", str(out)])
     assert rc == 0
-    back = load_dictionary(str(tmp_path / "run.csv.dict.csv"), str(tmp_path / "run.csv.dict.json"))
+    back = load_dictionary(str(tmp_path / "run.csv.dict.csv"))
     assert len(back) == 0
     assert back.members.shape == (0, 2)
 
@@ -283,6 +299,14 @@ def test_bound_beyond_a_finite_spectrum_still_checks_its_arguments(n, alpha, del
     assert "error" in err
 
 
+def test_bound_bad_delta_is_a_usage_error(capsys):
+    rc, stdout, err = _run(capsys, ["bound", "--n", "10", "--k", "3", "--alpha", "0.5",
+                                    "--spectrum", "explicit:0.4,0.3,0.2", "--delta", "2"])
+    assert rc == 1
+    assert stdout == ""
+    assert err.startswith("usage error: delta must lie in (0, 1)")
+
+
 def test_missing_subcommand_and_required_option_exit_1(capsys):
     assert _run(capsys, [])[0] == 1
     assert _run(capsys, ["esp", "--k", "3"])[0] == 1
@@ -316,6 +340,23 @@ def test_missing_file_exits_1(args, tmp_path, capsys):
     assert rc == 1
     assert stdout == ""
     assert err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("oks-run", "x0,x1\n1,2\n3\n"), ("regress", "x0,y\n1,2\n3,4,5\n")],
+    ids=["oks-run-narrow", "regress-wide"],
+)
+def test_ragged_rows_exit_1_naming_the_file_and_both_widths(command, text, tmp_path, capsys):
+    data = tmp_path / "ragged.csv"
+    data.write_text(text)
+    rc, stdout, err = _run(capsys, [command, "--kernel", "linear", "--alpha", "0.5",
+                                    "--data", str(data)])
+    assert rc == 1
+    assert stdout == ""
+    assert str(data) in err
+    widths = (1, 2) if command == "oks-run" else (3, 2)
+    assert f"a row has {widths[0]} cells, the first row {widths[1]}" in err
 
 
 def test_regress_rank_deficient_without_ridge_exits_1(tmp_path, capsys):

@@ -24,6 +24,7 @@ from oks.harness import (
     write_manifest,
 )
 from oks.kernels import gram, gram_cross, linear, polynomial, power, rbf
+from oks.regress import read_labeled_csv
 from oks.sparsifier import check_alpha_compatible, kstar_oracle, run_stream
 from oks.symfun import Spectrum
 
@@ -185,6 +186,30 @@ def test_dataset_skips_exactly_one_header_row(tmp_path):
     path.write_text("a,b\nc,d\nnot,numbers\n1,2\n")
     with pytest.raises(ValueError, match="malformed row"):
         harness.dataset_rows(str(path))
+
+
+def _labeled_table(path):
+    xs, ys = read_labeled_csv(path)
+    return np.column_stack([xs, ys]).tolist()
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda p: harness.dataset_rows(p).tolist(), _labeled_table,
+     lambda p: harness.load_dictionary(p).members.tolist()],
+    ids=["dataset_rows", "read_labeled_csv", "load_dictionary"],
+)
+def test_every_table_reader_shares_one_grammar(read, tmp_path):
+    # linear kernel, alpha 0.5: [1, 2] and [3, 4] re-admit with residuals 5 and 0.8
+    (tmp_path / "table.json").write_text(
+        '{"kernel": "linear", "alpha": 0.5, "size": 2, "log_det": 0.0}'
+    )
+    path = tmp_path / "table.csv"
+    path.write_text("# c\n\nx0,y\n1,2\n\n# c\n3,4\n")
+    assert read(str(path)) == [[1.0, 2.0], [3.0, 4.0]]
+    path.write_text("x0,y\n1,2\nx0,y\n3,4\n")
+    with pytest.raises(ValueError, match="malformed row"):
+        read(str(path))
 
 
 # --- Monte Carlo estimators ------------------------------------------------------

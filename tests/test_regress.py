@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -181,10 +179,15 @@ def test_labeled_csv_round_trip(tmp_path):
     assert np.array_equal(by, ys)
 
 
-def test_labeled_csv_requires_header():
-    with pytest.raises(ValueError):
-        read_labeled_csv(io.StringIO("1.0,2.0\n"))
-    with pytest.raises(ValueError):
-        read_labeled_csv(io.StringIO(""))
-    with pytest.raises(ValueError):
-        read_labeled_csv(io.StringIO("x0,y\n"))
+def test_labeled_csv_text_is_pinned(tmp_path):
+    path = tmp_path / "data.csv"
+    write_labeled_csv(str(path), np.array([[0.5, -1.25], [3.0, 1e-17]]), np.array([0.1, -2.0]))
+    assert path.read_text() == "x0,x1,y\n0.5,-1.25,0.1\n3.0,1e-17,-2.0\n"
+
+
+def test_labeled_csv_requires_header(tmp_path):
+    for i, text in enumerate(["1.0,2.0\n", "", "x0,y\n"]):
+        path = tmp_path / f"case{i}.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_labeled_csv(str(path))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oks.harness import load_dictionary, save_dictionary
 from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
 from oks.logvalue import is_log_zero
 from oks.sparsifier import (
@@ -13,9 +14,7 @@ from oks.sparsifier import (
     NumericalConsistencyError,
     check_alpha_compatible,
     kstar_oracle,
-    load_dictionary,
     run_stream,
-    save_dictionary,
 )
 
 log = logging.getLogger(__name__)
