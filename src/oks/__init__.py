@@ -16,7 +16,6 @@ from .harness import (
     growth_experiment,
     load_dictionary,
     mc_det_moment,
-    mc_expected_gram_det,
     mc_kstar_tail,
     nystrom_compare,
     save_dictionary,
@@ -93,7 +92,6 @@ __all__ = [
     "log_nu",
     "log_nu_row",
     "mc_det_moment",
-    "mc_expected_gram_det",
     "mc_kstar_tail",
     "moment_bound",
     "nu_geometric",

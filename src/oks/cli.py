@@ -34,7 +34,6 @@ from .harness import (
     Sampler,
     dataset_rows,
     mc_det_moment,
-    mc_expected_gram_det,
     mc_kstar_tail,
     growth_experiment,
     nystrom_compare,
@@ -331,23 +330,31 @@ def _cmd_nystrom(eff: dict, emit: Emit) -> None:
         )
 
 
+def _read_labeled(path: str):
+    try:
+        return read_labeled_csv(path)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {path!r}: {exc}") from None
+
+
 def _cmd_regress(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
-    try:
-        xs, ys = read_labeled_csv(eff["data"])
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read {eff['data']!r}: {exc}") from None
+    if eff["ridge"] < 0:
+        raise CliError("--ridge must be >= 0")
+    xs, ys = _read_labeled(eff["data"])
+    test = eff.get("test")
+    if test:
+        tx, ty = _read_labeled(test)
+        if tx.shape[1] != xs.shape[1]:
+            raise CliError(f"--test {test!r} has {tx.shape[1]} feature columns, "
+                           f"--data {eff['data']!r} has {xs.shape[1]}")
     d, _ = run_stream(kernel, eff["alpha"], xs)
     if len(d) == 0:
         raise ValidationFailure("dictionary stayed empty; every residual was below alpha")
     model = fit(d, xs, ys, eff["ridge"])
     header = ["n", "dict_size", "ridge", "train_mse"]
     row = [xs.shape[0], len(d), eff["ridge"], model.evaluate(xs, ys)]
-    if eff.get("test"):
-        try:
-            tx, ty = read_labeled_csv(eff["test"])
-        except (OSError, ValueError) as exc:
-            raise CliError(f"cannot read {eff['test']!r}: {exc}") from None
+    if test:
         header.append("test_mse")
         row.append(model.evaluate(tx, ty))
     emit(_csv(header, [row]))
@@ -398,9 +405,11 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
         Opt("delta", float, help="also print the certified-sample-count threshold"),
         Opt("trunc", int, default=64, help=_TRUNC_HELP),
     ]),
-    "mc-gram": _mc_command("Monte Carlo estimate of the expected Gram determinant",
-                           mc_expected_gram_det, [Opt("k", int, required=True)]),
-    "mc-moment": _mc_command("Monte Carlo estimate of a Gram determinant moment", mc_det_moment,
+    "mc-gram": _mc_command("Monte Carlo estimate of E[det G_k], as mc-moment --m 1",
+                           lambda s, kern, k, trials: mc_det_moment(s, kern, k, 1, trials),
+                           [Opt("k", int, required=True)]),
+    "mc-moment": _mc_command("Monte Carlo estimate of E[(det G_k)^m], m in {1, 2, 3}; m = 1 "
+                             "is the paper's E[det G_k] = nu(k)", mc_det_moment,
                              [Opt("k", int, required=True), Opt("m", int, required=True)]),
     "kstar-tail": _mc_command(
         "Monte Carlo tail probability of the largest passing subset size",

@@ -30,14 +30,13 @@ from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as th
 
 from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
-from .sparsifier import Dictionary, GrowthTrace, run_stream
+from .sparsifier import Dictionary, GrowthTrace, _some_subset_passes, run_stream
 from .symfun import Spectrum
 
 __all__ = [
     "Sampler",
     "McEstimate",
     "NystromComparison",
-    "mc_expected_gram_det",
     "mc_det_moment",
     "mc_kstar_tail",
     "growth_experiment",
@@ -89,18 +88,17 @@ def _trial_range(trial: int | range) -> range:
 class Sampler:
     """Declarative point source; (variant, seed) fixes the stream bit-for-bit.
 
-    ``diag_gaussian`` emits points with coordinates sqrt(lam_i) * z_i for
-    independent standard normal z_i, so that under the linear kernel the
-    covariance operator's spectrum is exactly the given finite spectrum.
-    ``gaussian_input`` emits scaled standard-normal points for use with any
-    kernel.  ``dataset`` replays CSV rows of coordinates.
+    The Gaussian kinds emit points with coordinates ``scales[i] * z_i`` for
+    independent standard normal z_i.  ``diag_gaussian`` takes the scales
+    sqrt(lam_i), so that under the linear kernel the covariance operator's
+    spectrum is exactly the given finite spectrum; ``gaussian_input`` takes
+    one scale for every coordinate, for use with any kernel.  ``dataset``
+    replays CSV rows of coordinates.
     """
 
     kind: str
     seed: int
-    spectrum: Spectrum | None = None
-    dim: int = 0
-    scale: float = 1.0
+    scales: tuple[float, ...] = ()
     path: str | None = None
 
     @classmethod
@@ -109,7 +107,7 @@ class Sampler:
             raise ValueError("diag_gaussian needs at least one eigenvalue")
         if spectrum.declared_tail != 0:
             raise ValueError("diag_gaussian requires a finite spectrum (zero declared tail)")
-        return cls("diag_gaussian", int(seed), spectrum=spectrum)
+        return cls("diag_gaussian", int(seed), scales=tuple(np.sqrt(spectrum.values).tolist()))
 
     @classmethod
     def gaussian_input(cls, dim: int, scale: float, seed: int) -> "Sampler":
@@ -117,7 +115,7 @@ class Sampler:
             raise ValueError("dim must be >= 1")
         if not scale > 0:
             raise ValueError("scale must be positive")
-        return cls("gaussian_input", int(seed), dim=int(dim), scale=float(scale))
+        return cls("gaussian_input", int(seed), scales=(float(scale),) * int(dim))
 
     @classmethod
     def dataset(cls, path: str, seed: int = 0) -> "Sampler":
@@ -136,11 +134,10 @@ class Sampler:
         if self.kind == "dataset":
             z = self._rows(n, blocks)
         else:
-            diag = self.kind == "diag_gaussian"
-            z = np.empty((len(lanes), n, self.spectrum.size if diag else self.dim))
+            z = np.empty((len(lanes), n, len(self.scales)))
             for out, gen in zip(z, _streams(self.seed, lanes)):
                 gen.standard_normal(out=out)
-            z *= np.sqrt(self.spectrum.values) if diag else self.scale
+            z *= self.scales
         return z if isinstance(trial, range) else z[0]
 
     def _rows(self, n: int, blocks: range) -> np.ndarray:
@@ -168,92 +165,51 @@ class McEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _run_chunked(trials: int, chunk_fn: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Per-trial values, evaluated in order over spans of ``_CHUNK`` trials.
+def _mc(sampler: Sampler, kernel: KernelSpec, n: int, trials: int,
+        value: Callable[[np.ndarray], np.ndarray]) -> McEstimate:
+    """Mean and standard error of ``value`` over trials, each on the Gram
+    matrix of n points of its own trial stream.
 
-    The spans only bound the memory of one batch; each trial's value does
-    not depend on which span holds it.
+    Trials run in spans of ``_CHUNK``: ``value`` maps a span's stacked Grams
+    to one value per trial.  The spans only bound the memory of one batch;
+    each trial's value does not depend on which span holds it.
     """
     out = np.empty(trials, dtype=float)
     for s in range(0, trials, _CHUNK):
         e = min(s + _CHUNK, trials)
-        out[s:e] = chunk_fn(s, e)
-    return out
-
-
-def _estimate(values: np.ndarray) -> McEstimate:
-    return McEstimate(
-        mean=float(values.mean()),
-        std_error=float(values.std(ddof=1) / math.sqrt(values.size)),
-        trials=int(values.size),
-    )
-
-
-def _trial_grams(sampler: Sampler, kernel: KernelSpec, n: int, s: int, e: int) -> np.ndarray:
-    """Stacked Gram matrices of trials s..e-1, each over n points of its own stream."""
-    return gram(kernel, sampler.points(n, trial=range(s, e)))
-
-
-def _det_moment(sampler: Sampler, kernel: KernelSpec, k: int, m: int, trials: int) -> McEstimate:
-    # exp(m * log det) per trial; a singular trial's -inf contributes exactly 0
-    return _estimate(_run_chunked(
-        trials, lambda s, e: np.exp(m * logdet_psd_stack(_trial_grams(sampler, kernel, k, s, e)))
-    ))
-
-
-def mc_expected_gram_det(
-    sampler: Sampler, kernel: KernelSpec, k: int, trials: int
-) -> McEstimate:
-    """Monte Carlo estimate of E[det G_k] over k fresh points per trial.
-
-    The determinant is reconstructed per trial as exp(log det), with singular
-    trials contributing exactly 0.
-    """
-    _check_mc_args(k, trials)
-    return _det_moment(sampler, kernel, k, 1, trials)
+        out[s:e] = value(gram(kernel, sampler.points(n, trial=range(s, e))))
+    return McEstimate(float(out.mean()), float(out.std(ddof=1) / math.sqrt(trials)), trials)
 
 
 def mc_det_moment(
     sampler: Sampler, kernel: KernelSpec, k: int, m: int, trials: int
 ) -> McEstimate:
-    """Monte Carlo estimate of E[(det G_k)^m] for m in {2, 3}."""
-    _check_mc_args(k, trials)
-    if not 2 <= m <= 3:
-        raise ValueError("moment order m must be 2 or 3")
-    return _det_moment(sampler, kernel, k, m, trials)
+    """Monte Carlo estimate of E[(det G_k)^m] over k fresh points per trial,
+    for m in {1, 2, 3}; m = 1 is the paper's E[det G_k] = nu(k).
 
-
-def _check_mc_args(k: int, trials: int) -> None:
+    Each trial's value is exp(m * log det G_k), so a singular trial
+    contributes exactly 0.
+    """
     if not 1 <= k <= 6:
         raise ValueError("k must lie in [1, 6]; the determinant variance explodes beyond")
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-
-
-@lru_cache(maxsize=64)
-def _subset_indices(n: int, j: int) -> np.ndarray:
-    from itertools import combinations
-
-    idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
+    if not 1 <= m <= 3:
+        raise ValueError("moment order m must be 1, 2 or 3")
+    return _mc(sampler, kernel, k, trials, lambda g: np.exp(m * logdet_psd_stack(g)))
 
 
 def mc_kstar_tail(
     sampler: Sampler, kernel: KernelSpec, alpha: float, n: int, k: int, trials: int
 ) -> McEstimate:
-    """Fraction of trials whose n-point draw has kstar >= k, i.e. some subset
-    of size j >= k with log det above j * log(alpha).
+    """Fraction of trials whose n-point draw has kstar >= k, in the sense of
+    :func:`oks.sparsifier.kstar_oracle`, testing the k-subsets only.
 
-    Only the k-subsets are enumerated.  Diagonal pivoting of a PSD Gram
-    matrix gives non-increasing pivots p_1 >= ... >= p_j whose product is its
-    determinant, so a j-subset with det > alpha**j has p_1 ... p_k > alpha**k,
-    and the points behind its first k pivots form a k-subset that passes.
-    Hence kstar >= k iff some k-subset passes.  The enumeration is
-    vectorized across the chunk, with the determinant path and the strict
-    comparison of :func:`oks.sparsifier.kstar_oracle`: both go through
-    :func:`oks.kernels.logdet_psd_stack`, whose batched Cholesky certifies
-    most subsets and hands the rest to its diagonal-pivoted elimination.
+    Diagonal pivoting of a PSD Gram matrix gives non-increasing pivots
+    p_1 >= ... >= p_j whose product is its determinant, so a j-subset with
+    det > alpha**j has p_1 ... p_k > alpha**k, and the points behind its
+    first k pivots form a k-subset that passes.  Hence kstar >= k iff some
+    k-subset passes.
     """
     if not 1 <= n <= 10:
         raise ValueError("n must lie in [1, 10] for per-trial subset enumeration")
@@ -264,14 +220,7 @@ def mc_kstar_tail(
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     log_alpha = math.log(alpha)
-
-    def chunk(s: int, e: int) -> np.ndarray:
-        g = _trial_grams(sampler, kernel, n, s, e)
-        idx = _subset_indices(n, k)
-        ld = logdet_psd_stack(g[:, idx[:, :, None], idx[:, None, :]])
-        return np.any(ld > k * log_alpha, axis=-1).astype(float)
-
-    return _estimate(_run_chunked(trials, chunk))
+    return _mc(sampler, kernel, n, trials, lambda g: _some_subset_passes(g, k, log_alpha))
 
 
 def growth_experiment(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -345,9 +346,21 @@ def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
     g = gram(kernel, pts)
     log_alpha = math.log(alpha)
     for j in range(n, 0, -1):
-        idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
-        subs = g[idx[:, :, None], idx[:, None, :]]
-        ld = logdet_psd_stack(subs)
-        if np.any(ld > j * log_alpha):
+        if _some_subset_passes(g, j, log_alpha):
             return j
     return 0
+
+
+def _some_subset_passes(g: np.ndarray, j: int, log_alpha: float) -> np.ndarray:
+    """Whether some j-subset A of the points behind each n x n Gram matrix in
+    ``g`` (over its leading batch axes) has log det G(A) > j * log_alpha."""
+    idx = _subset_indices(g.shape[-1], j)
+    ld = logdet_psd_stack(g[..., idx[:, :, None], idx[:, None, :]])
+    return np.any(ld > j * log_alpha, axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _subset_indices(n: int, j: int) -> np.ndarray:
+    idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx

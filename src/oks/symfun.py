@@ -82,14 +82,13 @@ class Spectrum:
             target.write(f"{float(v)!r}\n")
 
     @classmethod
-    def from_csv(cls, source: Union[str, IO[str]]) -> "Spectrum":
-        if isinstance(source, str):
-            with open(source, "r", newline="") as fh:
-                return cls.from_csv(fh)
+    def from_csv(cls, path: str) -> "Spectrum":
+        """The spectrum :meth:`to_csv` wrote to ``path``."""
         tail = 0.0
         vals = []
-        for raw in source:
-            line = raw.strip()
+        with open(path, "r", newline="") as fh:
+            lines = [raw.strip() for raw in fh]
+        for line in lines:
             if not line:
                 continue
             if line.startswith("#"):

@@ -161,6 +161,30 @@ def test_mc_body_on_the_pivoted_path_matches_its_recorded_value(command, monkeyp
     assert stdout == body
 
 
+def test_mc_moment_of_order_1_is_mc_gram(inputs, capsys):
+    # the same estimator: the mean and std_error cells agree to the last digit
+    gram_args = _invocations(inputs)["mc-gram"]
+    rc, gram_out, _ = _run(capsys, gram_args)
+    assert rc == 0
+    rc, moment_out, _ = _run(capsys, ["mc-moment", *gram_args[1:], "--m", "1"])
+    assert rc == 0
+    (gram_header, gram_row), (moment_header, moment_row) = (
+        [line.split(",") for line in out.splitlines()] for out in (gram_out, moment_out)
+    )
+    for column in ("mean", "std_error"):
+        assert gram_row[gram_header.index(column)] == moment_row[moment_header.index(column)]
+
+
+@pytest.mark.parametrize("m", ["0", "4"])
+def test_mc_moment_order_outside_1_to_3_exits_1(m, inputs, capsys):
+    args = _invocations(inputs)["mc-moment"]
+    args[args.index("--m") + 1] = m
+    rc, stdout, err = _run(capsys, args)
+    assert rc == 1
+    assert stdout == ""
+    assert "moment order m must be 1, 2 or 3" in err
+
+
 def test_data_sampler_without_seed_writes_an_empty_seed_cell(inputs, capsys):
     rc, stdout, _ = _run(capsys, ["kstar-tail", "--kernel", "rbf:1.0",
                                   "--sampler", f"data:{inputs['points']}", "--alpha", "0.9",
@@ -369,6 +393,38 @@ def test_regress_rank_deficient_without_ridge_exits_1(tmp_path, capsys):
     assert rc == 1
     assert stdout == ""
     assert "rank" in err
+
+
+def _refuse_stream(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("the stream started")
+
+    monkeypatch.setattr(cli, "run_stream", no_stream)
+
+
+def test_regress_negative_ridge_is_refused_before_the_stream(inputs, monkeypatch, capsys):
+    _refuse_stream(monkeypatch)
+    rc, stdout, err = _run(capsys, ["regress", "--kernel", "rbf:1.0", "--alpha", "0.05",
+                                    "--data", inputs["labeled"], "--ridge", "-1"])
+    assert rc == 1
+    assert stdout == ""
+    assert err == "usage error: --ridge must be >= 0\n"
+
+
+def test_regress_test_width_mismatch_names_both_files(inputs, tmp_path, monkeypatch, capsys):
+    wide = tmp_path / "wide.csv"
+    write_labeled_csv(str(wide), np.ones((4, 3)), np.ones(4))
+    _refuse_stream(monkeypatch)
+    out = tmp_path / "fit.csv"
+    rc, stdout, err = _run(capsys, ["regress", "--kernel", "rbf:1.0", "--alpha", "0.05",
+                                    "--data", inputs["labeled"], "--test", str(wide),
+                                    "--out", str(out)])
+    assert rc == 1
+    assert stdout == ""
+    assert not out.exists()
+    assert err.startswith("usage error: ")
+    assert f"--test {str(wide)!r} has 3 feature columns" in err
+    assert f"--data {inputs['labeled']!r} has 2" in err
 
 
 # --- exit code 2: validation failure -----------------------------------------------

@@ -16,7 +16,6 @@ from oks.harness import (
     format_cell,
     growth_experiment,
     mc_det_moment,
-    mc_expected_gram_det,
     mc_kstar_tail,
     nystrom_compare,
     power_iteration_norm,
@@ -104,7 +103,7 @@ def test_a_chunk_of_trials_builds_one_philox(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting)
     assert harness._CHUNK == 2048
-    mc_expected_gram_det(Sampler.gaussian_input(2, 1.0, 3), rbf(1.0), 3, 2048)
+    mc_det_moment(Sampler.gaussian_input(2, 1.0, 3), rbf(1.0), 3, 1, 2048)
     assert len(built) <= 1
 
 
@@ -222,17 +221,17 @@ def test_mc_estimate_validation():
 
 
 def test_mc_gram_det_trace_case():
-    est = mc_expected_gram_det(diag_sampler([1.0, 0.5], 7), linear(), 1, 20000)
+    est = mc_det_moment(diag_sampler([1.0, 0.5], 7), linear(), 1, 1, 20000)
     assert abs(est.mean - 1.5) <= 3 * est.std_error
 
 
 def test_mc_gram_det_pair_case():
-    est = mc_expected_gram_det(diag_sampler([1.0, 0.5], 7), linear(), 2, 20000)
+    est = mc_det_moment(diag_sampler([1.0, 0.5], 7), linear(), 2, 1, 20000)
     assert abs(est.mean - 1.0) <= 3 * est.std_error
 
 
 def test_mc_gram_det_rank_deficient_is_exact_zero():
-    est = mc_expected_gram_det(diag_sampler([1.0, 0.5], 7), linear(), 3, 2000)
+    est = mc_det_moment(diag_sampler([1.0, 0.5], 7), linear(), 3, 1, 2000)
     assert est.mean == 0.0
     assert est.std_error == 0.0
 
@@ -240,9 +239,9 @@ def test_mc_gram_det_rank_deficient_is_exact_zero():
 def test_mc_gram_det_argument_checks():
     s = diag_sampler([1.0], 0)
     with pytest.raises(ValueError):
-        mc_expected_gram_det(s, linear(), 7, 2000)
+        mc_det_moment(s, linear(), 7, 1, 2000)
     with pytest.raises(ValueError):
-        mc_expected_gram_det(s, linear(), 1, 999)
+        mc_det_moment(s, linear(), 1, 1, 999)
 
 
 def test_mc_moment_gaussian_fourth_moment():
@@ -257,8 +256,9 @@ def test_mc_moment_singular_case():
 
 
 def test_mc_moment_order_checks():
-    with pytest.raises(ValueError):
-        mc_det_moment(diag_sampler([1.0], 0), linear(), 1, 4, 2000)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match="moment order"):
+            mc_det_moment(diag_sampler([1.0], 0), linear(), 1, m, 2000)
 
 
 def test_mc_kstar_tail_certain_and_impossible():
@@ -312,7 +312,7 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
 
     def estimates():
         return (
-            mc_expected_gram_det(s, linear(), 2, 1000),
+            mc_det_moment(s, linear(), 2, 1, 1000),
             mc_det_moment(g, rbf(1.0), 3, 2, 1000),
             mc_kstar_tail(g, rbf(1.0), 0.9, 5, 3, 1000),
         )
@@ -354,10 +354,10 @@ def test_mc_estimates_keep_their_bits_when_some_trials_fail_cholesky(tmp_path, m
     path.write_text("x0,x1\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
     s = Sampler.dataset(str(path))
     sizes = _count_fallback(monkeypatch)
-    default = mc_expected_gram_det(s, rbf(1.0), 3, 1000)
+    default = mc_det_moment(s, rbf(1.0), 3, 1, 1000)
     assert sizes == [100]
     monkeypatch.setattr(harness, "_CHUNK", 7)
-    assert mc_expected_gram_det(s, rbf(1.0), 3, 1000) == default
+    assert mc_det_moment(s, rbf(1.0), 3, 1, 1000) == default
 
 
 # --- growth experiment -----------------------------------------------------------
