@@ -339,8 +339,8 @@ def _read_labeled(path: str):
 
 def _cmd_regress(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
-    if eff["ridge"] < 0:
-        raise CliError("--ridge must be >= 0")
+    if not 0 <= eff["ridge"] < np.inf:
+        raise CliError("--ridge must be a finite number >= 0")
     xs, ys = _read_labeled(eff["data"])
     test = eff.get("test")
     if test:

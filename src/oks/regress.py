@@ -81,8 +81,8 @@ def fit(dictionary: Dictionary, xs, ys, ridge: float = 0.0) -> RegressionModel:
     """
     if len(dictionary) < 1:
         raise ValueError("dictionary must be nonempty")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:
+        raise ValueError("ridge must be a finite number >= 0")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.size or ys.size < 1:

@@ -7,20 +7,29 @@ the ratio of consecutive Gram determinants, so after every admission
 
 Instead of the explicit Gram inverse, the dictionary maintains a growing
 lower-triangular factor L with ``G_D = L @ L.T``, which is numerically better
-behaved.  Points are offered in blocks of ``BLOCK`` candidates X_B.  One
-kernel evaluation against the members and one triangular solve
-W = L^-1 K(D, X_B) give every candidate's residual ``k(x, x) - |w|^2``
-against the dictionary as the block began.  The block is then walked in
-order: an admission appends one factor row, and each later candidate gains
-one coordinate against that row and loses its square from its residual.
-That is forward substitution against the grown factor, so in exact
-arithmetic every decision equals the one-point-at-a-time rule; in floating
-point a residual within rounding of ``alpha`` may be decided differently
-than by a point-at-a-time solve.  A block costs one O(|D|^2 B) solve
-plus O(|D| B) per admission, where a point-at-a-time solve costs O(|D|^2)
-for every offered point.  Brute-force oracles (:func:`kstar_oracle`,
-:func:`check_alpha_compatible`) recompute everything from dense Gram
-matrices and serve as independent references for tests.
+behaved.  Points are offered in blocks of ``BLOCK`` candidates X_B.  Their
+coordinates W = L^-1 K(D, X_B) come from forward substitution in row panels
+of ``PANEL`` rows of L: for panel p, W_p = L_pp^-1 (K(D_p, X) - L_p,<p W_<p),
+one product and one small triangular solve.  After each panel a candidate's
+partial residual ``k(x, x) - |w|^2`` is its residual against the members of
+the panels so far.  It never increases from one panel to the next, so a
+candidate whose partial residual is at most ``alpha`` is rejected whatever
+the later rows hold; it is dropped, and later panels compute kernel rows and
+coordinates only for the candidates still alive.  The block is then walked
+in order: an admission appends one factor row, and each later surviving
+candidate gains one coordinate against that row and loses its square from
+its residual.  That is forward substitution against the grown factor, so in
+exact arithmetic every decision equals the one-point-at-a-time rule; in
+floating point a residual within rounding of ``alpha`` may be decided
+differently than by a point-at-a-time solve, depending on the block and
+panel boundaries.  A rejected candidate reports its partial residual where
+it was dropped: an upper bound on its full residual, and at most ``alpha``.
+A block costs O(|D| r B) for the panels, where r is the number of factor
+rows a candidate survives (|D| for admitted ones), plus O(|D| B) per
+admission; a point-at-a-time solve costs O(|D|^2) for every offered point.
+Brute-force oracles (:func:`kstar_oracle`, :func:`check_alpha_compatible`)
+recompute everything from dense Gram matrices and serve as independent
+references for tests.
 """
 
 from __future__ import annotations
@@ -52,9 +61,13 @@ __all__ = [
 # kernels whose diagonal is far from 1)
 RESIDUAL_CLAMP = 1e-12
 
-# candidates per block of Dictionary.extend: they share one kernel_diag call,
-# one gram_cross against the members and one triangular solve
+# candidates per block of Dictionary.extend: they share one kernel_diag call
+# and one panelled forward substitution against the factor
 BLOCK = 256
+
+# factor rows per panel of that substitution; candidates whose partial
+# residual has reached alpha are dropped between panels
+PANEL = 128
 
 
 class NumericalConsistencyError(np.linalg.LinAlgError):
@@ -104,16 +117,18 @@ class Dictionary:
     def residual(self, x) -> float:
         """Squared distance of x's feature image to the span of the dictionary.
 
-        Solves one triangular system against the factor: O(|D|^2).
+        Runs every panel of the forward substitution, with no early stop:
+        O(|D|^2).
         """
-        delta, floor, _ = self._block_residuals(self._checked(_one_point(x)))
+        delta, floor, _, _ = self._block_residuals(self._checked(_one_point(x)), -math.inf)
         return float(_settled(delta, floor)[0])
 
     def offer(self, x) -> Admission:
         """Admit x when its residual strictly exceeds alpha; ties reject.
 
         On admission the factor gains one row with diagonal sqrt(residual)
-        and the log-determinant grows by exactly log(residual).
+        and the log-determinant grows by exactly log(residual).  A rejected
+        point reports a residual as :meth:`extend` does.
         """
         size = self._n
         delta = float(self.extend(_one_point(x))[0])
@@ -125,10 +140,15 @@ class Dictionary:
         Each row meets the dictionary as it stands at its turn, including the
         rows of ``points`` admitted before it, so in exact arithmetic the
         result equals that of offering the rows one at a time (a residual
-        within rounding of ``alpha`` may be decided differently).  Residuals
-        in the rounding window ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)``
-        report 0; a residual below it raises :class:`NumericalConsistencyError`
-        before any later row is admitted.
+        within rounding of ``alpha`` may be decided differently, depending on
+        the block and panel boundaries).  An admitted row reports its full
+        residual.  A rejected row may report its partial residual against
+        the leading members, where its forward substitution stopped: an upper
+        bound on its full residual, and at most ``alpha``.  Residuals in the
+        rounding window ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)`` report 0;
+        a residual below it raises :class:`NumericalConsistencyError` before
+        any later row is admitted.  Cost: O(|D| r) per row for the
+        substitution, where r is the number of factor rows the row survives.
         """
         pts = self._checked(points)
         self._dim = pts.shape[1]  # kept even when every row is rejected
@@ -138,56 +158,86 @@ class Dictionary:
         return out
 
     def _extend_block(self, xb: np.ndarray) -> np.ndarray:
-        """Sequential ALD rule over one block, with one triangular solve.
+        """Sequential ALD rule over one block, after one panelled solve.
 
-        ``coords[l]`` holds x_l's coordinates against the factor as it grows:
-        the first |D| from the block solve, one more per admission in the
-        block.  Admitting x_j appends the factor row (coords[j], sqrt(delta_j));
-        every later x_l gains the coordinate
-        c_l = (k(x_l, x_j) - coords[l] . coords[j]) / sqrt(delta_j), and its
-        residual drops by c_l**2.  That is forward substitution against the
-        appended row: in exact arithmetic, the one-point-at-a-time rule.
+        Only the candidates that got through the solve (``live``) are walked.
+        ``coords[i]`` holds the coordinates of x_live[i] against the factor
+        as it grows: the first |D| from the solve, one more per admission in
+        the block.  Admitting x_j = x_live[i] appends the factor row
+        (coords[i], sqrt(delta_j)); every later live x_l = x_live[p] gains
+        the coordinate c = (k(x_l, x_j) - coords[p] . coords[i]) / sqrt(delta_j),
+        and its residual drops by c**2.  That is forward substitution against the
+        appended row: in exact arithmetic, the one-point-at-a-time rule.  A
+        dropped candidate's residual is already at most alpha and only falls
+        further, so it is never updated and stays rejected.
         """
-        delta, floor, w = self._block_residuals(xb)
-        b, n = xb.shape[0], self._n
-        coords = np.empty((b, n + b))
+        delta, floor, live, w = self._block_residuals(xb, self.alpha)
+        b, n, a = xb.shape[0], self._n, live.size
+        coords = np.empty((a, n + a))
         coords[:, :n] = w
-        l = 0
+        q = l = 0  # next live candidate to test, next block row to settle
         while True:
             # a delta within rounding of alpha may land on either side of it,
-            # unlike with a per-point solve, depending on the block boundaries
-            hits = np.flatnonzero(delta[l:] > self.alpha)
-            j = l + int(hits[0]) if hits.size else b
-            # rows l..j-1 are rejected for good; a fault among them raises
-            # before x_j is admitted
+            # unlike with a per-point solve, depending on the block and panel
+            # boundaries
+            hits = np.flatnonzero(delta[live[q:]] > self.alpha)
+            i = q + int(hits[0]) if hits.size else a
+            j = int(live[i]) if i < a else b
+            # rows l..j-1, dropped or not, are rejected for good, in stream
+            # order; a fault among them raises before x_j is admitted
             delta[l:j] = _settled(delta[l:j], floor[l:j])
             if j == b:
                 return delta
             m = self._n
             root = math.sqrt(delta[j])
-            self._append(xb[j], coords[j, :m], root, float(delta[j]))
-            l = j + 1
-            if l < b:
-                k = gram_cross(self.kernel, xb[l:], xb[j : j + 1])[:, 0]
-                c = (k - coords[l:, :m] @ coords[j, :m]) / root
-                coords[l:, m] = c
-                delta[l:] -= c * c
+            self._append(xb[j], coords[i, :m], root, float(delta[j]))
+            l, q = j + 1, i + 1
+            if q < a:
+                later = live[q:]
+                k = gram_cross(self.kernel, xb[later], xb[j : j + 1])[:, 0]
+                c = (k - coords[q:, :m] @ coords[i, :m]) / root
+                coords[q:, m] = c
+                delta[later] -= c * c
 
-    def _block_residuals(self, xb: np.ndarray):
+    def _block_residuals(self, xb: np.ndarray, stop: float):
         """Residuals of the rows of ``xb`` against the current factor.
 
-        Returns (delta, floor, w): w[l] = L^-1 k(D, x_l) from one triangular
-        solve, delta = k(x, x) - |w|^2 unclamped, and floor the most negative
-        residual still taken for rounding noise.
+        Forward substitution in panels of ``PANEL`` factor rows; before each
+        panel after the first, candidates whose partial residual is at most
+        ``stop`` are dropped.  Returns (delta, floor, live, w): delta =
+        k(x, x) - |w|^2 unclamped, over all the rows a candidate got through
+        (for a dropped one a partial residual, at most ``stop`` and an upper
+        bound on its full residual); floor the most negative residual still
+        taken for rounding noise; live the indices of the candidates that
+        got through every panel, ascending; and w[i] = L^-1 k(D, x_live[i]).
+        In float64 the panel sums round differently from one full sum, so a
+        residual within rounding of ``stop`` may land on either side of it
+        depending on the panel boundaries.  Cost O(|D| r B) for B rows that
+        each get through r factor rows.
         """
-        diag = kernel_diag(self.kernel, xb)
-        floor = -RESIDUAL_CLAMP * np.maximum(1.0, diag)
+        delta = kernel_diag(self.kernel, xb)  # partial residuals, lowered panel by panel
+        floor = -RESIDUAL_CLAMP * np.maximum(1.0, delta)
         n = self._n
+        live = np.arange(xb.shape[0])
         if n == 0:
-            return diag, floor, np.zeros((xb.shape[0], 0))
-        g = gram_cross(self.kernel, xb, self._pts[:n])
-        w = solve_triangular(self._fac[:n, :n], g.T, lower=True, check_finite=False)
-        return diag - np.einsum("ij,ij->j", w, w), floor, w.T
+            return delta, floor, live, np.zeros((live.size, 0))
+        # the first panel sees every candidate, so it needs no gather
+        e = min(PANEL, n)
+        g = gram_cross(self.kernel, xb, self._pts[:e])
+        w = solve_triangular(self._fac[:e, :e], g.T, lower=True, check_finite=False)
+        delta -= np.einsum("ij,ij->j", w, w)
+        for s in range(e, n, PANEL):
+            keep = delta[live] > stop
+            if not keep.all():
+                live, w = live[keep], w[:, keep]
+                if not live.size:
+                    return delta, floor, live, np.zeros((0, n))
+            e = min(s + PANEL, n)
+            g = gram_cross(self.kernel, xb[live], self._pts[s:e]).T - self._fac[s:e, :s] @ w
+            wp = solve_triangular(self._fac[s:e, s:e], g, lower=True, check_finite=False)
+            delta[live] -= np.einsum("ij,ij->j", wp, wp)
+            w = np.concatenate((w, wp))
+        return delta, floor, live, w.T
 
     def _append(self, x: np.ndarray, row: np.ndarray, root: float, delta: float) -> None:
         n = self._n

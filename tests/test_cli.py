@@ -408,7 +408,17 @@ def test_regress_negative_ridge_is_refused_before_the_stream(inputs, monkeypatch
                                     "--data", inputs["labeled"], "--ridge", "-1"])
     assert rc == 1
     assert stdout == ""
-    assert err == "usage error: --ridge must be >= 0\n"
+    assert err == "usage error: --ridge must be a finite number >= 0\n"
+
+
+@pytest.mark.parametrize("ridge", ["nan", "inf"])
+def test_regress_non_finite_ridge_is_refused_before_the_stream(inputs, monkeypatch, capsys, ridge):
+    _refuse_stream(monkeypatch)
+    rc, stdout, err = _run(capsys, ["regress", "--kernel", "rbf:1.0", "--alpha", "0.05",
+                                    "--data", inputs["labeled"], "--ridge", ridge])
+    assert rc == 1
+    assert stdout == ""
+    assert err == "usage error: --ridge must be a finite number >= 0\n"
 
 
 def test_regress_test_width_mismatch_names_both_files(inputs, tmp_path, monkeypatch, capsys):

@@ -108,6 +108,13 @@ def test_fewer_points_than_weights_without_ridge_raises():
     assert fit(d, xs, np.ones(2), ridge=0.1).weights.shape == (3,)
 
 
+@pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+def test_fit_refuses_a_negative_or_non_finite_ridge(ridge):
+    d = full_dictionary(linear(), np.eye(2), alpha=0.5)
+    with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+        fit(d, np.eye(2), np.ones(2), ridge=ridge)
+
+
 def test_rank_rule_is_the_lstsq_cutoff():
     # the design's two columns differ in scale by 1/s; lstsq counts a singular
     # value as zero when at most eps * max(n, m) = 100 eps times the largest

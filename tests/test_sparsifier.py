@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import math
@@ -5,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from oks.harness import load_dictionary, save_dictionary
+from oks.harness import Sampler, load_dictionary, save_dictionary
 from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
 from oks.logvalue import is_log_zero
 from oks.sparsifier import (
     BLOCK,
+    PANEL,
     Dictionary,
     NumericalConsistencyError,
     check_alpha_compatible,
@@ -232,17 +234,28 @@ def _extend_case(seed, n, dim):
 EXTEND_CASES = [(31, 700, 2, 0.05), (32, 650, 3, 0.2), (42, 620, 3, 0.05), (51, 620, 5, 0.03)]
 
 
+@functools.cache
+def _dense_replay(seed, n, dim, alpha):
+    """Members and residuals of a point-at-a-time run of an EXTEND_CASES
+    stream that recomputes every residual by a dense solve."""
+    kernel, pts = _extend_case(seed, n, dim)
+    members: list[np.ndarray] = []
+    residuals = []
+    for x in pts:
+        residuals.append(dense_residual(kernel, members, x))
+        if residuals[-1] > alpha:
+            members.append(x)
+    return np.array(members), np.array(residuals)
+
+
 @pytest.mark.parametrize("seed, n, dim, alpha", EXTEND_CASES)
 def test_extend_equals_sequential_dense_replay(seed, n, dim, alpha):
     kernel, pts = _extend_case(seed, n, dim)
     d = Dictionary(kernel, alpha)
     res = d.extend(pts)
 
-    members: list[np.ndarray] = []
-    for x in pts:
-        if dense_residual(kernel, members, x) > alpha:
-            members.append(x)
-    assert np.array_equal(d.members, np.array(members))
+    members, _ = _dense_replay(seed, n, dim, alpha)
+    assert np.array_equal(d.members, members)
     L = d.factor
     assert np.allclose(L @ L.T, gram(kernel, d.members), rtol=0, atol=1e-10)
     admitted = res > alpha
@@ -252,6 +265,9 @@ def test_extend_equals_sequential_dense_replay(seed, n, dim, alpha):
 
 @pytest.mark.parametrize("seed, n, dim, alpha", EXTEND_CASES)
 def test_extend_any_split_matches_one_extend(seed, n, dim, alpha):
+    # a rejected row may report the partial residual where its substitution
+    # stopped, which depends on the block and panel boundaries; on any split
+    # it lies between the row's full residual and alpha
     kernel, pts = _extend_case(seed, n, dim)
     whole = Dictionary(kernel, alpha)
     whole_res = whole.extend(pts)
@@ -264,10 +280,17 @@ def test_extend_any_split_matches_one_extend(seed, n, dim, alpha):
             parts.extend(d.offer(x).residual for x in chunk)
         else:
             parts.extend(d.extend(chunk))
+    parts = np.array(parts)
     assert np.array_equal(d.members, whole.members)
     assert np.allclose(d.factor, whole.factor, rtol=0, atol=1e-10)
     assert d.log_det == pytest.approx(whole.log_det, rel=1e-12, abs=1e-12)
-    assert np.allclose(parts, whole_res, rtol=1e-9, atol=1e-12)
+    admitted = whole_res > alpha
+    assert np.array_equal(parts > alpha, admitted)
+    assert np.allclose(parts[admitted], whole_res[admitted], rtol=1e-9, atol=1e-12)
+    _, full = _dense_replay(seed, n, dim, alpha)
+    for res in (whole_res, parts):
+        assert np.all(full[~admitted] - 1e-12 <= res[~admitted])
+        assert np.all(res[~admitted] <= alpha)
 
 
 @pytest.mark.parametrize("seed, n, dim, alpha", EXTEND_CASES[1::2])
@@ -306,6 +329,80 @@ def test_extend_failure_semantics():
         d.extend([[5.0], [0.0], [10.0]])
     # the row before the fault was admitted, the one after it was not
     assert d.members.tolist() == [[0.0], [5.0]]
+
+
+# --- panel pruning ----------------------------------------------------------------
+
+def _pruning_case():
+    # reject-heavy (52% rejected) with |D| = 721, over six panels
+    return rbf(1.0), 0.1, np.random.default_rng(15).standard_normal((1500, 5))
+
+
+def test_pruned_extend_matches_a_point_at_a_time_full_solve():
+    kernel, alpha, pts = _pruning_case()
+    d = Dictionary(kernel, alpha)
+    res = d.extend(pts)
+    assert len(d) > 3 * PANEL
+
+    ref = Dictionary(kernel, alpha)
+    full = np.empty(len(pts))
+    for i, x in enumerate(pts):
+        full[i] = ref.residual(x)
+        assert ref.offer(x).admitted == (full[i] > alpha)
+    admitted = full > alpha
+    assert np.array_equal(d.members, ref.members)
+    assert np.array_equal(res > alpha, admitted)
+    assert np.allclose(res[admitted], full[admitted], rtol=1e-9, atol=1e-12)
+    rejected, full_rejected = res[~admitted], full[~admitted]
+    assert np.all(full_rejected - 1e-12 <= rejected)
+    assert np.all(rejected <= alpha)
+    # most rejected rows stopped in an early panel, above their full residual
+    assert np.mean(rejected > full_rejected + 1e-9) > 0.5
+    L = d.factor
+    assert np.allclose(L @ L.T, gram(kernel, d.members), rtol=0, atol=1e-10)
+    assert d.log_det == sum(math.log(r) for r in res[admitted])
+
+
+def test_residual_on_a_multi_panel_dictionary_matches_a_dense_solve():
+    kernel, alpha, pts = _pruning_case()
+    d = Dictionary(kernel, alpha)
+    d.extend(pts)
+    assert len(d) > 3 * PANEL
+    probes = [*np.random.default_rng(16).standard_normal((20, 5)), d.members[PANEL + 5]]
+    for x in probes:
+        assert d.residual(x) == pytest.approx(dense_residual(kernel, d.members, x), abs=1e-9)
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["second-panel", "last-member"])
+def test_a_fault_in_a_later_panel_raises_after_the_rows_before_it(last):
+    kernel, alpha, pts = _pruning_case()
+    d = Dictionary(kernel, alpha)
+    d.extend(pts)
+    size = len(d)
+    m = size - 1 if last else PANEL + 7
+    dup = d.members[m]
+    # halving L[m, m] doubles the last coordinate of member m's duplicate, so
+    # its residual becomes -3 L[m, m]**2; against the first panel alone it
+    # is above alpha, so its substitution reaches the corrupted row
+    d._fac[m, m] *= 0.5
+    far = np.full(5, 50.0)
+    with pytest.raises(NumericalConsistencyError):
+        d.extend([far, dup, -far])
+    assert len(d) == size + 1
+    assert np.array_equal(d.members[-1], far)
+
+
+def test_a_long_stream_keeps_its_factor_and_log_det_against_dense():
+    # the benchmark's large stream leg: rbf:1.0, gauss:5 at seed 1, alpha 0.1
+    d, _ = run_stream(rbf(1.0), 0.1, Sampler.gaussian_input(5, 1.0, 1).points(4000))
+    assert len(d) == 1174
+    g = gram(d.kernel, d.members)
+    sign, log_det = np.linalg.slogdet(g)
+    # |D| * cond(G) * eps = 1174 * 7.1e3 * 1.1e-16, about 1e-9
+    assert sign == 1 and abs(d.log_det - log_det) < 1e-9
+    # entries of G are at most 1: ten times |D| * eps
+    L = d.factor
+    assert np.max(np.abs(L @ L.T - g)) < 1e-12
 
 
 def test_extend_validates_before_admitting():
