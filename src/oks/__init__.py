@@ -8,7 +8,7 @@ features, and ships a seeded Monte Carlo harness that validates the
 determinant identities and inequalities end to end.
 """
 
-from .bounds import dict_tail_bound, growth_prediction, moment_bound, sample_threshold
+from .bounds import dict_tail_bound, growth_prediction, sample_threshold
 from .harness import (
     McEstimate,
     NystromComparison,
@@ -40,14 +40,11 @@ from .sparsifier import (
     Dictionary,
     GrowthTrace,
     NumericalConsistencyError,
-    check_alpha_compatible,
-    kstar_oracle,
     run_stream,
 )
-from .spectrum import empirical_spectrum, spectrum_l1_gap, synthetic_spectrum
+from .spectrum import empirical_spectrum, synthetic_spectrum
 from .symfun import (
     Spectrum,
-    decay_bound,
     esp_brute,
     log_nu,
     log_nu_row,
@@ -72,8 +69,6 @@ __all__ = [
     "RegressionModel",
     "Sampler",
     "Spectrum",
-    "check_alpha_compatible",
-    "decay_bound",
     "dict_tail_bound",
     "empirical_spectrum",
     "esp_brute",
@@ -84,7 +79,6 @@ __all__ = [
     "growth_prediction",
     "is_log_zero",
     "kernel_diag",
-    "kstar_oracle",
     "linear",
     "load_dictionary",
     "log_binomial",
@@ -93,7 +87,6 @@ __all__ = [
     "log_nu_row",
     "mc_det_moment",
     "mc_kstar_tail",
-    "moment_bound",
     "nu_geometric",
     "nu_rows",
     "nystrom_compare",
@@ -103,7 +96,6 @@ __all__ = [
     "run_stream",
     "sample_threshold",
     "save_dictionary",
-    "spectrum_l1_gap",
     "synthetic_spectrum",
     "tail_sum",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "dict_tail_bound",
     "sample_threshold",
     "growth_prediction",
-    "moment_bound",
 ]
 
 _SCAN_LIMIT = 100_000
@@ -36,8 +35,8 @@ def dict_tail_bound(n: int, k: int, alpha: float, spec: Spectrum) -> LogValue:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     _check_length(k, spec)
     return float(log_binomial(n, k) + log_nu(spec, k) - k * math.log(alpha))
 
@@ -54,8 +53,8 @@ def sample_threshold(k: int, alpha: float, delta: float, spec: Spectrum) -> floa
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     _check_length(k, spec)
@@ -90,8 +89,8 @@ def growth_prediction(kind: str, param: float, n: int, alpha: float, delta: floa
         raise ValueError("n must be >= 1")
     if kind not in ("geometric", "polynomial"):
         raise ValueError(f"unsupported decay kind {kind!r}")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     k = 1
@@ -115,13 +114,3 @@ def _decay_values(kind: str, param: float) -> Iterator[np.ndarray]:
         yield synthetic_spectrum(kind, param, size).values[done:]
         done, size = size, 2 * size
 
-
-def moment_bound(power_spec: Spectrum, k: int) -> LogValue:
-    """log nu(k) over the spectrum of the power kernel.
-
-    With the spectrum of the entrywise m-th power kernel this upper-bounds
-    log E[(det G_k)^m]; m = 1 reduces to the base spectrum's log nu(k).
-    """
-    if not 0 <= k <= power_spec.size:
-        raise ValueError(f"k={k} outside [0, {power_spec.size}]")
-    return log_nu(power_spec, k)

@@ -8,9 +8,10 @@ error (bad flags, malformed config, missing files), 2 validation failure (an
 asserted inequality was violated by the run).
 
 Every numeric CSV read (``--data``, ``--test``, ``data:``) or snapshotted
-(``oks-run --out``) is one table format: rows of comma-separated numbers as
-wide as the first, skipping blank lines and ``#`` comments, below an optional
-non-numeric header row (``regress`` requires one ending in ``y``).
+(``oks-run --out``) is one table format: rows of comma-separated finite
+numbers as wide as the first, skipping blank lines and ``#`` comments,
+below an optional non-numeric header row (``regress`` requires one ending
+in ``y``).
 
 A flat ``key=value`` config file mirrors the flags 1:1 and, when given via
 ``--config``, overrides them; ``--dump-config`` prints the effective
@@ -180,11 +181,15 @@ def _need_seed(seed: int | None) -> int:
     return seed
 
 
-def _load_spectrum(source: str, size: int) -> Spectrum:
+def _load_spectrum(eff: dict, k: int) -> Spectrum:
+    """The run's ``--spectrum``; a synthetic one keeps max(4k, trunc) values."""
+    if eff["trunc"] < 1:
+        raise CliError("--trunc must be >= 1")
+    source = eff["spectrum"]
     head, _, rest = source.strip().partition(":")
     try:
         if head in ("geometric", "polynomial"):
-            return synthetic_spectrum(head, float(rest), size)
+            return synthetic_spectrum(head, float(rest), max(4 * k, eff["trunc"]))
         if head == "explicit":
             return synthetic_spectrum("explicit", [float(v) for v in rest.split(",")])
         return Spectrum.from_csv(source)
@@ -243,7 +248,7 @@ def _cmd_esp(eff: dict, emit: Emit) -> None:
     k = eff["k"]
     if k < 0:
         raise CliError("--k must be >= 0")
-    spec = _load_spectrum(eff["spectrum"], max(4 * k, eff["trunc"]))
+    spec = _load_spectrum(eff, k)
     log_nus = log_nu_row(spec, k).tolist()
     if eff["brute"]:
         if spec.size > 22:
@@ -259,7 +264,7 @@ def _cmd_esp(eff: dict, emit: Emit) -> None:
 def _cmd_bound(eff: dict, emit: Emit) -> None:
     n, k, alpha = eff["n"], eff["k"], eff["alpha"]
     delta = eff.get("delta")
-    spec = _load_spectrum(eff["spectrum"], max(4 * k, eff["trunc"]))
+    spec = _load_spectrum(eff, k)
     try:
         log_bound = dict_tail_bound(n, k, alpha, spec)
         threshold = None if delta is None else sample_threshold(k, alpha, delta, spec)

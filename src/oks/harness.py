@@ -23,6 +23,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as th
 
 from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
-from .sparsifier import Dictionary, GrowthTrace, _some_subset_passes, run_stream
+from .sparsifier import Dictionary, GrowthTrace, run_stream
 from .symfun import Spectrum
 
 __all__ = [
@@ -202,8 +203,9 @@ def mc_det_moment(
 def mc_kstar_tail(
     sampler: Sampler, kernel: KernelSpec, alpha: float, n: int, k: int, trials: int
 ) -> McEstimate:
-    """Fraction of trials whose n-point draw has kstar >= k, in the sense of
-    :func:`oks.sparsifier.kstar_oracle`, testing the k-subsets only.
+    """Fraction of trials whose n-point draw has kstar >= k, testing the
+    k-subsets only.  kstar is the largest j for which some j-subset A of the
+    draw has det G(A) > alpha**j (0 when no subset of any size does).
 
     Diagonal pivoting of a PSD Gram matrix gives non-increasing pivots
     p_1 >= ... >= p_j whose product is its determinant, so a j-subset with
@@ -217,10 +219,25 @@ def mc_kstar_tail(
         raise ValueError("need 1 <= k <= n")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     log_alpha = math.log(alpha)
     return _mc(sampler, kernel, n, trials, lambda g: _some_subset_passes(g, k, log_alpha))
+
+
+def _some_subset_passes(g: np.ndarray, j: int, log_alpha: float) -> np.ndarray:
+    """Whether some j-subset A of the points behind each n x n Gram matrix in
+    ``g`` (over its leading batch axes) has log det G(A) > j * log_alpha."""
+    idx = _subset_indices(g.shape[-1], j)
+    ld = logdet_psd_stack(g[..., idx[:, :, None], idx[:, None, :]])
+    return np.any(ld > j * log_alpha, axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _subset_indices(n: int, j: int) -> np.ndarray:
+    idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
 
 
 def growth_experiment(
@@ -348,7 +365,8 @@ def read_table(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 
     Blank lines and ``#`` comments are skipped.  The first non-numeric row is
     the header (``()`` when there is none) and a later one is malformed.
-    Every row, the header included, is as wide as the first.
+    Every row, the header included, is as wide as the first, and every
+    numeric cell is finite.
     """
     st = os.stat(path)
     return _read_table(path, st.st_mtime_ns, st.st_size)
@@ -370,11 +388,15 @@ def _read_table(path: str, mtime_ns: int, size: int) -> tuple[tuple[str, ...], n
                     f"ragged table {path!r}: a row has {len(cells)} cells, the first row {width}"
                 )
             try:
-                rows.append([float(v) for v in cells])
+                row = [float(v) for v in cells]
             except ValueError:
                 if rows or header:
                     raise ValueError(f"malformed row in {path!r}: {line!r}") from None
                 header = tuple(c.strip() for c in cells)
+                continue
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"non-finite cell in {path!r}: {line!r}")
+            rows.append(row)
     out = np.array(rows).reshape(len(rows), width)
     out.setflags(write=False)
     return header, out

@@ -27,23 +27,18 @@ it was dropped: an upper bound on its full residual, and at most ``alpha``.
 A block costs O(|D| r B) for the panels, where r is the number of factor
 rows a candidate survives (|D| for admitted ones), plus O(|D| B) per
 admission; a point-at-a-time solve costs O(|D|^2) for every offered point.
-Brute-force oracles (:func:`kstar_oracle`, :func:`check_alpha_compatible`)
-recompute everything from dense Gram matrices and serve as independent
-references for tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import KernelSpec, gram, gram_cross, kernel_diag, log_det_psd, logdet_psd_stack
+from .kernels import KernelSpec, gram_cross, kernel_diag
 from .logvalue import LogValue
 
 __all__ = [
@@ -52,8 +47,6 @@ __all__ = [
     "GrowthTrace",
     "NumericalConsistencyError",
     "run_stream",
-    "check_alpha_compatible",
-    "kstar_oracle",
 ]
 
 # residuals in [-RESIDUAL_CLAMP * max(1, k(x,x)), 0) are rounding noise;
@@ -87,8 +80,8 @@ class Dictionary:
     """
 
     def __init__(self, kernel: KernelSpec, alpha: float):
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         self.kernel = kernel
         self.alpha = float(alpha)
         self.log_det: LogValue = 0.0  # order-0 Gram has determinant 1
@@ -345,72 +338,3 @@ def run_stream(
         log_dets.append(d.log_det)
     return d, GrowthTrace(np.array(ends), np.array(sizes), np.array(log_dets))
 
-
-def check_alpha_compatible(kernel: KernelSpec, alpha: float, seq) -> bool:
-    """True iff every prefix determinant ratio of the sequence exceeds alpha.
-
-    Each ratio is computed from dense log-determinants of the prefix Gram
-    matrices, independently of any incremental factor.  Those come from
-    :func:`log_det_psd` at ``DEFAULT_PIVOT_TOL``, which calls a prefix
-    singular once a pivot falls below ``DEFAULT_PIVOT_TOL * max k(x, x)``;
-    the answer is therefore only valid for alpha well above that product.
-    Near it, a sequence that is alpha-compatible in exact arithmetic can be
-    reported as incompatible.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    pts = np.asarray(seq, dtype=float)
-    if pts.size == 0:
-        return True
-    if pts.ndim != 2:
-        raise ValueError("expected an (n, d) sequence of points")
-    if pts.shape[0] > 500:
-        raise ValueError("dense compatibility check limited to 500 points")
-    g = gram(kernel, pts)
-    log_alpha = math.log(alpha)
-    prev = 0.0
-    for j in range(1, pts.shape[0] + 1):
-        ld = log_det_psd(g[:j, :j])
-        if not ld - prev > log_alpha:
-            return False
-        prev = ld
-    return True
-
-
-def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
-    """Largest k such that some k-subset A has log det G(A) > k log(alpha).
-
-    Exhaustive subset enumeration (sizes scanned from largest down), limited
-    to 14 points.  Returns 0 when no subset of any size passes.
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return 0
-    if pts.ndim != 2:
-        raise ValueError("expected an (n, d) sequence of points")
-    n = pts.shape[0]
-    if n > 14:
-        raise ValueError("subset enumeration limited to 14 points")
-    g = gram(kernel, pts)
-    log_alpha = math.log(alpha)
-    for j in range(n, 0, -1):
-        if _some_subset_passes(g, j, log_alpha):
-            return j
-    return 0
-
-
-def _some_subset_passes(g: np.ndarray, j: int, log_alpha: float) -> np.ndarray:
-    """Whether some j-subset A of the points behind each n x n Gram matrix in
-    ``g`` (over its leading batch axes) has log det G(A) > j * log_alpha."""
-    idx = _subset_indices(g.shape[-1], j)
-    ld = logdet_psd_stack(g[..., idx[:, :, None], idx[:, None, :]])
-    return np.any(ld > j * log_alpha, axis=-1)
-
-
-@lru_cache(maxsize=64)
-def _subset_indices(n: int, j: int) -> np.ndarray:
-    idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
-    idx.setflags(write=False)
-    return idx

@@ -10,7 +10,6 @@ from .symfun import Spectrum
 __all__ = [
     "empirical_spectrum",
     "synthetic_spectrum",
-    "spectrum_l1_gap",
     "DEFAULT_CLAMP_TOL",
 ]
 
@@ -69,16 +68,3 @@ def synthetic_spectrum(kind: str, param, size: int | None = None) -> Spectrum:
         return Spectrum(np.power(i, -(1.0 + p)), float(size**-p / p))
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
-
-def spectrum_l1_gap(a: Spectrum, b: Spectrum) -> float:
-    """L1 distance between two spectra, padding the shorter with zeros.
-
-    Both declared tails are added, keeping the gap an upper bound on the true
-    L1 distance of the untruncated sequences.
-    """
-    n = max(a.size, b.size)
-    pa = np.zeros(n)
-    pb = np.zeros(n)
-    pa[: a.size] = a.values
-    pb[: b.size] = b.values
-    return float(np.abs(pa - pb).sum() + a.declared_tail + b.declared_tail)

@@ -10,8 +10,7 @@ decay super-exponentially in k, so every routine here carries them as logs
 propagate as exact zeros through the recursion.
 
 A truncated spectrum may declare an upper bound on the discarded tail mass;
-:func:`tail_sum` folds it in so decay bounds computed from a truncation stay
-valid upper bounds.
+:func:`tail_sum` adds it to the retained values beyond an index.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .logvalue import LOG_ZERO, LogValue, is_log_zero, log_binomial, log_factorial
+from .logvalue import LOG_ZERO, LogValue, log_factorial
 
 __all__ = [
     "Spectrum",
@@ -32,7 +31,6 @@ __all__ = [
     "log_nu",
     "esp_brute",
     "tail_sum",
-    "decay_bound",
     "nu_geometric",
 ]
 
@@ -189,24 +187,6 @@ def tail_sum(spec: Spectrum, k: int) -> float:
     if not 0 <= k <= spec.size:
         raise ValueError(f"k={k} outside [0, {spec.size}]")
     return float(spec.values[k:].sum() + spec.declared_tail)
-
-
-def decay_bound(log_nu_k: LogValue, k: int, s: int, lambda_tail_k: float) -> LogValue:
-    """Upper bound on log nu(k+s) from log nu(k) and the tail mass beyond k.
-
-        bound = log nu(k) + s * log(tail) + log C(k+s, k)
-
-    A zero tail with s >= 1 forces nu(k+s) = 0 exactly.
-    """
-    if k < 0 or s < 0:
-        raise ValueError("k and s must be nonnegative integers")
-    if not (math.isfinite(lambda_tail_k) and lambda_tail_k >= 0):
-        raise ValueError("lambda_tail_k must be finite and nonnegative")
-    if s == 0:
-        return float(log_nu_k)
-    if lambda_tail_k == 0 or is_log_zero(log_nu_k):
-        return LOG_ZERO
-    return float(log_nu_k + s * math.log(lambda_tail_k) + log_binomial(k + s, k))
 
 
 def nu_geometric(sigma: float, k: int) -> LogValue:

@@ -1,0 +1,69 @@
+"""Dense reference implementations that the tests check the library against.
+
+Each recomputes its answer from dense Gram matrices, independently of the
+incremental factor that :class:`oks.Dictionary` maintains.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from oks.harness import _some_subset_passes
+from oks.kernels import KernelSpec, gram, log_det_psd
+
+
+def check_alpha_compatible(kernel: KernelSpec, alpha: float, seq) -> bool:
+    """True iff every prefix determinant ratio of the sequence exceeds alpha.
+
+    Each ratio is computed from dense log-determinants of the prefix Gram
+    matrices, independently of any incremental factor.  Those come from
+    :func:`log_det_psd` at ``DEFAULT_PIVOT_TOL``, which calls a prefix
+    singular once a pivot falls below ``DEFAULT_PIVOT_TOL * max k(x, x)``;
+    the answer is therefore only valid for alpha well above that product.
+    Near it, a sequence that is alpha-compatible in exact arithmetic can be
+    reported as incompatible.
+    """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    pts = np.asarray(seq, dtype=float)
+    if pts.size == 0:
+        return True
+    if pts.ndim != 2:
+        raise ValueError("expected an (n, d) sequence of points")
+    if pts.shape[0] > 500:
+        raise ValueError("dense compatibility check limited to 500 points")
+    g = gram(kernel, pts)
+    log_alpha = math.log(alpha)
+    prev = 0.0
+    for j in range(1, pts.shape[0] + 1):
+        ld = log_det_psd(g[:j, :j])
+        if not ld - prev > log_alpha:
+            return False
+        prev = ld
+    return True
+
+
+def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
+    """Largest k such that some k-subset A has log det G(A) > k log(alpha).
+
+    Exhaustive subset enumeration (sizes scanned from largest down), limited
+    to 14 points.  Returns 0 when no subset of any size passes.
+    """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return 0
+    if pts.ndim != 2:
+        raise ValueError("expected an (n, d) sequence of points")
+    n = pts.shape[0]
+    if n > 14:
+        raise ValueError("subset enumeration limited to 14 points")
+    g = gram(kernel, pts)
+    log_alpha = math.log(alpha)
+    for j in range(n, 0, -1):
+        if _some_subset_passes(g, j, log_alpha):
+            return j
+    return 0

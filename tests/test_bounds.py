@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oks.bounds import dict_tail_bound, growth_prediction, moment_bound, sample_threshold
+from oks.bounds import dict_tail_bound, growth_prediction, sample_threshold
 from oks.logvalue import is_log_zero, log_binomial
 from oks.spectrum import synthetic_spectrum
-from oks.symfun import Spectrum, decay_bound, log_nu, log_nu_row, tail_sum
+from oks.symfun import Spectrum, log_nu, log_nu_row, tail_sum
 
 
 def spectrum(*values):
@@ -34,8 +34,9 @@ def test_tail_bound_zero_when_rank_deficient():
 def test_tail_bound_validation():
     with pytest.raises(ValueError):
         dict_tail_bound(2, 3, 1.0, spectrum(1.0, 0.5, 0.25))
-    with pytest.raises(ValueError):
-        dict_tail_bound(4, 2, 0.0, spectrum(1.0, 0.5))
+    for alpha in (0.0, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            dict_tail_bound(4, 2, alpha, spectrum(1.0, 0.5))
     # beyond the retained values nu(k) is exactly zero without a declared
     # tail, and unknown with one
     assert is_log_zero(dict_tail_bound(4, 3, 1.0, spectrum(1.0, 0.5)))
@@ -61,10 +62,12 @@ def test_tail_bound_vanishes_at_linear_dictionary_fraction():
 
 
 def test_tail_bound_inputs_respect_decay_relation():
+    # nu(k + 1) <= nu(k) * tail(k) * C(k + 1, k)
     s = synthetic_spectrum("geometric", 2.0, 64)
     row = log_nu_row(s, 12)
     for k in range(1, 11):
-        assert row[k + 1] <= decay_bound(row[k], k, 1, tail_sum(s, k)) + 1e-12
+        bound = row[k] + math.log(tail_sum(s, k)) + log_binomial(k + 1, k)
+        assert row[k + 1] <= bound + 1e-12
 
 
 def test_log_binomial_matches_exact_integers():
@@ -102,6 +105,9 @@ def test_threshold_validation():
         sample_threshold(0, 1.0, 0.1, s)
     with pytest.raises(ValueError):
         sample_threshold(1, 1.0, 1.5, s)
+    for alpha in (0.0, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            sample_threshold(1, alpha, 0.1, s)
     # beyond the retained values nu(k) is exactly zero without a declared
     # tail, and unknown with one
     assert sample_threshold(3, 1.0, 0.1, s) == math.inf
@@ -174,25 +180,9 @@ def test_growth_prediction_validation():
         growth_prediction("explicit", 2.0, 100, 0.5, 0.1)
     with pytest.raises(ValueError):
         growth_prediction("geometric", 2.0, 0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        growth_prediction("geometric", 2.0, 100, 0.0, 0.1)
+    for alpha in (0.0, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            growth_prediction("geometric", 2.0, 100, alpha, 0.1)
     with pytest.raises(ValueError):
         growth_prediction("geometric", 2.0, 100, 0.5, 1.0)
 
-
-# --- moment_bound -----------------------------------------------------------------
-
-def test_moment_bound_m1_reduces_to_base():
-    s = spectrum(1.0, 0.5, 0.25)
-    for k in range(4):
-        assert moment_bound(s, k) == log_nu(s, k)
-
-
-def test_moment_bound_k1_is_trace():
-    s = spectrum(0.8, 0.3, 0.1)
-    assert moment_bound(s, 1) == pytest.approx(math.log(1.2), rel=1e-12)
-
-
-def test_moment_bound_k_too_large():
-    with pytest.raises(ValueError):
-        moment_bound(spectrum(1.0), 2)

@@ -264,7 +264,7 @@ def test_bad_flag_exits_1(capsys):
 
 
 def test_kstar_tail_nonpositive_alpha_exits_1(capsys):
-    for alpha in ("0", "-1"):
+    for alpha in ("0", "-1", "inf"):
         rc, stdout, err = _run(capsys, ["kstar-tail", "--kernel", "rbf:1.0", "--sampler", "gauss:2",
                                         "--alpha", alpha, "--n", "5", "--k", "3", "--trials", "10",
                                         "--seed", "3"])
@@ -313,14 +313,42 @@ def test_bound_beyond_a_finite_spectrum_is_probability_0(capsys):
 
 
 @pytest.mark.parametrize("n, alpha, delta", [("2", "0.5", "0.1"), ("10", "0", "0.1"),
-                                             ("10", "0.5", "2")],
-                         ids=["k-above-n", "alpha", "delta"])
+                                             ("10", "inf", "0.1"), ("10", "0.5", "2")],
+                         ids=["k-above-n", "alpha", "alpha-inf", "delta"])
 def test_bound_beyond_a_finite_spectrum_still_checks_its_arguments(n, alpha, delta, capsys):
     rc, stdout, err = _run(capsys, ["bound", "--n", n, "--k", "3", "--alpha", alpha,
                                     "--spectrum", "explicit:0.4,0.3", "--delta", delta])
     assert rc == 1
     assert stdout == ""
     assert "error" in err
+
+
+def test_growth_infinite_alpha_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    rc, stdout, err = _run(capsys, ["growth", "--kernel", "rbf:1.0", "--alpha", "inf", "--n", "20",
+                                    "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert stdout == ""
+    assert "error: alpha must be positive" in err
+    assert not out.exists()
+    assert not (tmp_path / "g.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["esp", "--spectrum", "geometric:2", "--k", "3", "--trunc", "-5"],
+     ["esp", "--spectrum", "geometric:2", "--k", "0", "--trunc", "0"],
+     ["bound", "--n", "10", "--k", "3", "--alpha", "0.5", "--spectrum", "geometric:2",
+      "--trunc", "0"]],
+    ids=["esp-negative", "esp-zero-k-zero", "bound-zero"],
+)
+def test_trunc_below_1_is_a_usage_error(args, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    rc, stdout, err = _run(capsys, [*args, "--out", str(out)])
+    assert rc == 1
+    assert stdout == ""
+    assert err == "usage error: --trunc must be >= 1\n"
+    assert not out.exists()
 
 
 def test_bound_bad_delta_is_a_usage_error(capsys):
@@ -435,6 +463,19 @@ def test_regress_test_width_mismatch_names_both_files(inputs, tmp_path, monkeypa
     assert err.startswith("usage error: ")
     assert f"--test {str(wide)!r} has 3 feature columns" in err
     assert f"--data {inputs['labeled']!r} has 2" in err
+
+
+def test_regress_non_finite_test_label_exits_1_naming_the_file(inputs, tmp_path, monkeypatch,
+                                                              capsys):
+    test = tmp_path / "test.csv"
+    test.write_text("x0,x1,y\n0.1,0.2,1.0\n0.3,0.4,nan\n")
+    _refuse_stream(monkeypatch)
+    rc, stdout, err = _run(capsys, ["regress", "--kernel", "rbf:1.0", "--alpha", "0.05",
+                                    "--data", inputs["labeled"], "--test", str(test)])
+    assert rc == 1
+    assert stdout == ""
+    assert err.startswith("usage error: ")
+    assert f"non-finite cell in {str(test)!r}: '0.3,0.4,nan'" in err
 
 
 # --- exit code 2: validation failure -----------------------------------------------

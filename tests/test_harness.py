@@ -24,8 +24,9 @@ from oks.harness import (
 )
 from oks.kernels import gram, gram_cross, linear, polynomial, power, rbf
 from oks.regress import read_labeled_csv
-from oks.sparsifier import check_alpha_compatible, kstar_oracle, run_stream
+from oks.sparsifier import run_stream
 from oks.symfun import Spectrum
+from oracles import check_alpha_compatible, kstar_oracle
 
 
 def diag_sampler(values, seed):
@@ -209,6 +210,9 @@ def test_every_table_reader_shares_one_grammar(read, tmp_path):
     path.write_text("x0,y\n1,2\nx0,y\n3,4\n")
     with pytest.raises(ValueError, match="malformed row"):
         read(str(path))
+    path.write_text("x0,y\n1,2\n1,nan\n")
+    with pytest.raises(ValueError, match=r"non-finite cell in .*table\.csv.*'1,nan'"):
+        read(str(path))
 
 
 # --- Monte Carlo estimators ------------------------------------------------------
@@ -276,7 +280,7 @@ def test_mc_kstar_tail_certain_and_impossible():
 
 def test_mc_kstar_tail_alpha_must_be_positive():
     s = Sampler.gaussian_input(2, 1.0, 5)
-    for alpha in (0.0, -1.0):
+    for alpha in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="alpha must be positive"):
             mc_kstar_tail(s, rbf(1.0), alpha, 3, 1, 500)
 

@@ -9,15 +9,8 @@ import pytest
 from oks.harness import Sampler, load_dictionary, save_dictionary
 from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
 from oks.logvalue import is_log_zero
-from oks.sparsifier import (
-    BLOCK,
-    PANEL,
-    Dictionary,
-    NumericalConsistencyError,
-    check_alpha_compatible,
-    kstar_oracle,
-    run_stream,
-)
+from oks.sparsifier import BLOCK, PANEL, Dictionary, NumericalConsistencyError, run_stream
+from oracles import check_alpha_compatible, kstar_oracle
 
 log = logging.getLogger(__name__)
 
@@ -57,10 +50,9 @@ def test_new_dictionary():
 
 
 def test_alpha_must_be_positive():
-    with pytest.raises(ValueError):
-        Dictionary(linear(), 0.0)
-    with pytest.raises(ValueError):
-        Dictionary(linear(), -1.0)
+    for alpha in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            Dictionary(linear(), alpha)
 
 
 # --- residual / offer --------------------------------------------------------

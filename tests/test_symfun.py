@@ -13,7 +13,6 @@ from oks import symfun
 from oks.logvalue import LOG_ZERO, is_log_zero, log_binomial
 from oks.symfun import (
     Spectrum,
-    decay_bound,
     esp_brute,
     log_nu,
     log_nu_row,
@@ -181,7 +180,7 @@ def test_newton_and_maclaurin_random_spectra():
             assert nus[k] / k >= nus[k + 1] / (k + 1) - 1e-10
 
 
-# --- tail_sum / decay_bound --------------------------------------------------
+# --- tail_sum ---------------------------------------------------------------
 
 def test_tail_sum_examples():
     assert tail_sum(spectrum(1.0, 0.5, 0.25), 0) == 1.75
@@ -191,30 +190,13 @@ def test_tail_sum_examples():
         tail_sum(spectrum(1.0), 2)
 
 
-def test_decay_bound_example():
-    s = spectrum(1.0, 0.5, 0.25)
-    row = log_nu_row(s, 2)
-    bound = decay_bound(row[1], 1, 1, tail_sum(s, 1))
-    # 1.75 * 0.75 * C(2,1) = 2.625, all three factors by direct evaluation
-    assert bound == pytest.approx(math.log(2.625), rel=1e-13)
-    assert row[2] <= bound  # true nu_2 = 1.75
-
-
-def test_decay_bound_empty_tail():
-    assert is_log_zero(decay_bound(math.log(2.0), 3, 1, 0.0))
-
-
-def test_decay_bound_s_zero_is_identity():
-    assert decay_bound(-1.234, 5, 0, 0.7) == -1.234
-    assert decay_bound(-1.234, 5, 0, 0.0) == -1.234
-
-
 def test_decay_bound_dominates_table():
+    # nu(k + s) <= nu(k) * tail(k)**s * C(k + s, k)
     s = spectrum(2.0, 1.0, 0.5, 0.25, 0.125)
     row = log_nu_row(s, 5)
     for k in range(0, 4):
         for sdx in range(1, 5 - k + 1):
-            b = decay_bound(row[k], k, sdx, tail_sum(s, k))
+            b = row[k] + sdx * math.log(tail_sum(s, k)) + log_binomial(k + sdx, k)
             assert row[k + sdx] <= b + 1e-12
 
 
