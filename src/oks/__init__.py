@@ -23,7 +23,6 @@ from .harness import (
 from .kernels import (
     KernelSpec,
     NotPsdError,
-    eval_kernel,
     gram,
     gram_cross,
     kernel_diag,
@@ -72,7 +71,6 @@ __all__ = [
     "dict_tail_bound",
     "empirical_spectrum",
     "esp_brute",
-    "eval_kernel",
     "gram",
     "gram_cross",
     "growth_experiment",

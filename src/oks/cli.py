@@ -161,8 +161,8 @@ def _parse_sampler(text: str, seed: int | None) -> Sampler:
     head, _, rest = text.strip().partition(":")
     try:
         if head == "diag" and rest:
-            values = np.sort(np.array([float(v) for v in rest.split(",")]))[::-1]
-            return Sampler.diag_gaussian(Spectrum(values), _need_seed(seed))
+            spectrum = synthetic_spectrum("explicit", [float(v) for v in rest.split(",")])
+            return Sampler.diag_gaussian(spectrum, _need_seed(seed))
         if head == "gauss" and rest:
             dim_text, _, scale_text = rest.partition(":")
             return Sampler.gaussian_input(
@@ -181,6 +181,10 @@ def _need_seed(seed: int | None) -> int:
     return seed
 
 
+# heads of a --spectrum given inline; any other --spectrum is a CSV path
+_INLINE_SPECTRA = ("geometric", "polynomial", "explicit")
+
+
 def _load_spectrum(eff: dict, k: int) -> Spectrum:
     """The run's ``--spectrum``; a synthetic one keeps max(4k, trunc) values."""
     if eff["trunc"] < 1:
@@ -188,10 +192,10 @@ def _load_spectrum(eff: dict, k: int) -> Spectrum:
     source = eff["spectrum"]
     head, _, rest = source.strip().partition(":")
     try:
-        if head in ("geometric", "polynomial"):
-            return synthetic_spectrum(head, float(rest), max(4 * k, eff["trunc"]))
         if head == "explicit":
-            return synthetic_spectrum("explicit", [float(v) for v in rest.split(",")])
+            return synthetic_spectrum(head, [float(v) for v in rest.split(",")])
+        if head in _INLINE_SPECTRA:  # a decay law
+            return synthetic_spectrum(head, float(rest), max(4 * k, eff["trunc"]))
         return Spectrum.from_csv(source)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load spectrum {source!r}: {exc}") from None
@@ -215,8 +219,7 @@ def _input_files(eff: dict) -> list[str]:
     if head == "data" and rest:
         files.append(rest)
     spectrum = eff.get("spectrum")
-    inline = ("geometric", "polynomial", "explicit")
-    if spectrum and spectrum.strip().partition(":")[0] not in inline:
+    if spectrum and spectrum.strip().partition(":")[0] not in _INLINE_SPECTRA:
         files.append(spectrum)
     return files
 

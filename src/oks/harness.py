@@ -114,8 +114,8 @@ class Sampler:
     def gaussian_input(cls, dim: int, scale: float, seed: int) -> "Sampler":
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if not scale > 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("scale must be positive and finite")
         return cls("gaussian_input", int(seed), scales=(float(scale),) * int(dim))
 
     @classmethod

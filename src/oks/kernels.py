@@ -1,9 +1,11 @@
 """Kernel specifications, Gram matrices, and PSD log-determinants.
 
-A kernel is a declarative value (:class:`KernelSpec`); evaluation is
-vectorized over trailing point axes, so single pairs, point sets ``(n, d)``
-and stacked batches of point sets ``(b, n, d)`` all share one code path.
-Points are plain 1-D float arrays.
+A kernel is a declarative value (:class:`KernelSpec`).  It is evaluated on
+point sets ``(n, d)`` and on stacked batches of them ``(b, n, d)``, never
+on a single pair.  Each kind's formula is written once, in ``_form``, over
+inner products <x, y> and squared norms |x|^2 and |y|^2:
+:func:`gram_cross`, :func:`gram` and :func:`kernel_diag` differ only in
+which of these they feed it.
 
 Determinant arithmetic never leaves log domain: :func:`logdet_psd_stack`
 decides singularity by its own diagonal-pivoted factorization, so that a
@@ -30,7 +32,6 @@ __all__ = [
     "rbf",
     "polynomial",
     "power",
-    "eval_kernel",
     "kernel_diag",
     "gram",
     "gram_cross",
@@ -71,15 +72,15 @@ class KernelSpec:
         if self.kind == "linear":
             pass
         elif self.kind == "rbf":
-            if not self.bandwidth > 0:
-                raise ValueError("rbf bandwidth must be positive")
+            if not 0 < self.bandwidth < math.inf:
+                raise ValueError("rbf bandwidth must be positive and finite")
         elif self.kind == "poly":
             if self.degree < 1:
                 raise ValueError("polynomial degree must be a positive integer")
-            if self.offset < 0:
-                raise ValueError("polynomial offset must be nonnegative")
-            if not self.scale > 0:
-                raise ValueError("polynomial scale must be positive")
+            if not 0 <= self.offset < math.inf:
+                raise ValueError("polynomial offset must be nonnegative and finite")
+            if not 0 < self.scale < math.inf:
+                raise ValueError("polynomial scale must be positive and finite")
         elif self.kind == "pow":
             if self.base is None:
                 raise ValueError("power kernel requires a base kernel")
@@ -136,51 +137,57 @@ def power(base: KernelSpec, m: int) -> KernelSpec:
     return KernelSpec("pow", exponent=int(m), base=base)
 
 
-def _check_points(a: np.ndarray, min_ndim: int) -> np.ndarray:
+def _check_points(a) -> tuple[np.ndarray, np.ndarray]:
+    """The points as a float array ``(..., n, d)`` and their squared norms.
+
+    Refuses non-finite coordinates, and rows whose 2 |x|^2 overflows: an rbf
+    entry adds two squared norms.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim < min_ndim:
-        raise ValueError(f"expected at least {min_ndim} array dimensions, got {a.ndim}")
+    if a.ndim < 2:
+        raise ValueError(f"expected at least 2 array dimensions, got {a.ndim}")
     if a.shape[-1] < 1:
         raise ValueError("points must have dimension >= 1")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("points contain non-finite coordinates")
-    return a
+    with np.errstate(over="ignore"):  # refused below
+        s = np.sum(a * a, axis=-1)
+        top = 2.0 * s.max(initial=0.0)  # NaN if any coordinate is NaN
+    if not top < math.inf:
+        if not np.isfinite(a).all():
+            raise ValueError("points contain non-finite coordinates")
+        raise ValueError("points overflow: 2 |x|^2 is not finite")
+    return a, s
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for two points of equal dimension."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("points must be 1-D coordinate arrays")
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("points contain non-finite coordinates")
-    return float(_eval_pair(spec, x, y))
+def _form(spec: KernelSpec, ip: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """Kernel values from inner products ip = <x, y> and squared norms
+    sx = |x|^2, sy = |y|^2 that broadcast against ip; may overwrite ip,
+    which must not share memory with sx or sy.
 
-
-def _eval_pair(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
+    rbf takes the squared distance as sx + sy - 2 ip, clamped at 0, with one
+    temporary beside ip; where sx = sy = ip it is exactly 0, so k(x, x) = 1.
+    """
     if spec.kind == "linear":
-        return float(x @ y)
+        return ip
     if spec.kind == "rbf":
-        d = x - y
-        return float(np.exp(-(d @ d) / (2.0 * spec.bandwidth**2)))
+        ip *= -2.0
+        ip += sx + sy
+        np.maximum(ip, 0.0, out=ip)
+        ip /= -2.0 * spec.bandwidth**2
+        return np.exp(ip, out=ip)
     if spec.kind == "poly":
-        return float((spec.scale * (x @ y) + spec.offset) ** spec.degree)
-    return _eval_pair(spec.base, x, y) ** spec.exponent
+        ip *= spec.scale
+        ip += spec.offset
+        ip **= spec.degree
+        return ip
+    k = _form(spec.base, ip, sx, sy)
+    k **= spec.exponent
+    return k
 
 
 def kernel_diag(spec: KernelSpec, points) -> np.ndarray:
-    """k(x, x) for each point row, computed directly (exact for RBF)."""
-    pts = _check_points(points, 2)
-    if spec.kind == "linear":
-        return np.sum(pts * pts, axis=-1)
-    if spec.kind == "rbf":
-        return np.ones(pts.shape[:-1])
-    if spec.kind == "poly":
-        return (spec.scale * np.sum(pts * pts, axis=-1) + spec.offset) ** spec.degree
-    return kernel_diag(spec.base, pts) ** spec.exponent
+    """k(x, x) for each point row (exactly 1 for rbf)."""
+    _, s = _check_points(points)
+    return _form(spec, s.copy(), s, s)
 
 
 def gram_cross(spec: KernelSpec, xs, ys) -> np.ndarray:
@@ -189,30 +196,11 @@ def gram_cross(spec: KernelSpec, xs, ys) -> np.ndarray:
     Accepts leading batch axes: ``(..., n, d)`` and ``(..., m, d)`` produce
     ``(..., n, m)``.
     """
-    xs = _check_points(xs, 2)
-    ys = _check_points(ys, 2)
+    xs, sx = _check_points(xs)
+    ys, sy = _check_points(ys)
     if xs.shape[-1] != ys.shape[-1]:
         raise ValueError(f"dimension mismatch: {xs.shape[-1]} vs {ys.shape[-1]}")
-    return _cross(spec, xs, ys)
-
-
-def _cross(spec: KernelSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    if spec.kind == "linear":
-        return xs @ ys.swapaxes(-1, -2)
-    if spec.kind == "rbf":
-        # |x|^2 + |y|^2 - 2<x, y>, then exp(-sq / (2 bw^2)), with one
-        # temporary beside the output and the rounding of the plain formula
-        ip = xs @ ys.swapaxes(-1, -2)
-        ip *= 2.0
-        sq = np.sum(xs * xs, axis=-1)[..., :, None] + np.sum(ys * ys, axis=-1)[..., None, :]
-        sq -= ip
-        np.maximum(sq, 0.0, out=sq)
-        np.negative(sq, out=sq)
-        sq /= 2.0 * spec.bandwidth**2
-        return np.exp(sq, out=sq)
-    if spec.kind == "poly":
-        return (spec.scale * (xs @ ys.swapaxes(-1, -2)) + spec.offset) ** spec.degree
-    return _cross(spec.base, xs, ys) ** spec.exponent
+    return _form(spec, xs @ ys.swapaxes(-1, -2), sx[..., :, None], sy[..., None, :])
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
@@ -223,12 +211,12 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0 and pts.ndim <= 2:
         return np.zeros((0, 0))
-    pts = _check_points(pts, 2)
-    k = _cross(spec, pts, pts)
+    pts, s = _check_points(pts)
+    k = _form(spec, pts @ pts.swapaxes(-1, -2), s[..., :, None], s[..., None, :])
     k += k.swapaxes(-1, -2)  # numpy buffers the overlapping operand: k + k^T
     k *= 0.5
     idx = np.arange(pts.shape[-2])
-    k[..., idx, idx] = kernel_diag(spec, pts)
+    k[..., idx, idx] = _form(spec, s.copy(), s, s)
     return k
 
 

@@ -54,8 +54,8 @@ __all__ = [
 # kernels whose diagonal is far from 1)
 RESIDUAL_CLAMP = 1e-12
 
-# candidates per block of Dictionary.extend: they share one kernel_diag call
-# and one panelled forward substitution against the factor
+# candidates per block of Dictionary.extend: they share one panelled forward
+# substitution against the factor
 BLOCK = 256
 
 # factor rows per panel of that substitution; candidates whose partial
@@ -113,7 +113,7 @@ class Dictionary:
         Runs every panel of the forward substitution, with no early stop:
         O(|D|^2).
         """
-        delta, floor, _, _ = self._block_residuals(self._checked(_one_point(x)), -math.inf)
+        delta, floor, _, _ = self._block_residuals(*self._checked(_one_point(x)), -math.inf)
         return float(_settled(delta, floor)[0])
 
     def offer(self, x) -> Admission:
@@ -142,15 +142,17 @@ class Dictionary:
         a residual below it raises :class:`NumericalConsistencyError` before
         any later row is admitted.  Cost: O(|D| r) per row for the
         substitution, where r is the number of factor rows the row survives.
+        Raises ``ValueError`` before admitting any row when some row has a
+        non-finite coordinate or a non-finite k(x, x).
         """
-        pts = self._checked(points)
+        pts, diag = self._checked(points)
         self._dim = pts.shape[1]  # kept even when every row is rejected
         out = np.empty(pts.shape[0])
         for s in range(0, pts.shape[0], BLOCK):
-            out[s : s + BLOCK] = self._extend_block(pts[s : s + BLOCK])
+            out[s : s + BLOCK] = self._extend_block(pts[s : s + BLOCK], diag[s : s + BLOCK])
         return out
 
-    def _extend_block(self, xb: np.ndarray) -> np.ndarray:
+    def _extend_block(self, xb: np.ndarray, diag: np.ndarray) -> np.ndarray:
         """Sequential ALD rule over one block, after one panelled solve.
 
         Only the candidates that got through the solve (``live``) are walked.
@@ -164,7 +166,7 @@ class Dictionary:
         dropped candidate's residual is already at most alpha and only falls
         further, so it is never updated and stays rejected.
         """
-        delta, floor, live, w = self._block_residuals(xb, self.alpha)
+        delta, floor, live, w = self._block_residuals(xb, diag, self.alpha)
         b, n, a = xb.shape[0], self._n, live.size
         coords = np.empty((a, n + a))
         coords[:, :n] = w
@@ -192,8 +194,9 @@ class Dictionary:
                 coords[q:, m] = c
                 delta[later] -= c * c
 
-    def _block_residuals(self, xb: np.ndarray, stop: float):
-        """Residuals of the rows of ``xb`` against the current factor.
+    def _block_residuals(self, xb: np.ndarray, delta: np.ndarray, stop: float):
+        """Residuals of the rows of ``xb`` against the current factor, lowered
+        in place from their k(x, x), which ``delta`` holds on entry.
 
         Forward substitution in panels of ``PANEL`` factor rows; before each
         panel after the first, candidates whose partial residual is at most
@@ -208,7 +211,6 @@ class Dictionary:
         depending on the panel boundaries.  Cost O(|D| r B) for B rows that
         each get through r factor rows.
         """
-        delta = kernel_diag(self.kernel, xb)  # partial residuals, lowered panel by panel
         floor = -RESIDUAL_CLAMP * np.maximum(1.0, delta)
         n = self._n
         live = np.arange(xb.shape[0])
@@ -241,15 +243,19 @@ class Dictionary:
         self._n = n + 1
         self.log_det += math.log(delta)
 
-    def _checked(self, points) -> np.ndarray:
+    def _checked(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The points as an (m, d) array and their k(x, x), refused unless finite."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("expected an (m, d) array of points")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite coordinates")
         if self._dim is not None and pts.shape[1] != self._dim:
             raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, the dictionary has {self._dim}")
-        return pts
+        with np.errstate(over="ignore"):  # refused below
+            diag = kernel_diag(self.kernel, pts)  # refuses non-finite coordinates itself
+        bad = np.flatnonzero(~np.isfinite(diag))
+        if bad.size:
+            raise ValueError(f"k(x, x) = {diag[bad[0]]} is not finite at row {bad[0]}")
+        return pts, diag
 
     def _ensure_capacity(self, n: int, dim: int) -> None:
         if self._pts is None:
@@ -277,8 +283,9 @@ def _one_point(x) -> np.ndarray:
 
 def _settled(delta: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """Final residuals: values in the rounding window [floor, 0) report 0, and
-    the first value below its floor raises :class:`NumericalConsistencyError`."""
-    low = np.flatnonzero(delta < floor)
+    the first value below its floor, or NaN, raises
+    :class:`NumericalConsistencyError`."""
+    low = np.flatnonzero(~(delta >= floor))
     if low.size:
         i = low[0]
         raise NumericalConsistencyError(f"projection residual {delta[i]} fell below {floor[i]}")

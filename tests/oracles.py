@@ -1,7 +1,10 @@
 """Dense reference implementations that the tests check the library against.
 
-Each recomputes its answer from dense Gram matrices, independently of the
-incremental factor that :class:`oks.Dictionary` maintains.
+:func:`eval_kernel` evaluates one pair by each kind's plain formula, with
+the rbf distance taken as x - y, independently of the inner-product form
+that every Gram matrix of the library is computed by.  The others recompute
+their answer from dense Gram matrices, independently of the incremental
+factor that :class:`oks.Dictionary` maintains.
 """
 
 from __future__ import annotations
@@ -12,6 +15,30 @@ import numpy as np
 
 from oks.harness import _some_subset_passes
 from oks.kernels import KernelSpec, gram, log_det_psd
+
+
+def eval_kernel(spec: KernelSpec, x, y) -> float:
+    """Evaluate k(x, y) for two points of equal dimension."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError("points must be 1-D coordinate arrays")
+    if x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("points contain non-finite coordinates")
+    return float(_eval_pair(spec, x, y))
+
+
+def _eval_pair(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
+    if spec.kind == "linear":
+        return float(x @ y)
+    if spec.kind == "rbf":
+        d = x - y
+        return float(np.exp(-(d @ d) / (2.0 * spec.bandwidth**2)))
+    if spec.kind == "poly":
+        return float((spec.scale * (x @ y) + spec.offset) ** spec.degree)
+    return _eval_pair(spec.base, x, y) ** spec.exponent
 
 
 def check_alpha_compatible(kernel: KernelSpec, alpha: float, seq) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -89,6 +90,40 @@ def test_body_is_identical_across_runs_and_matches_stdout(command, inputs, tmp_p
     rc, stdout, _ = _run(capsys, args)
     assert rc == 0
     assert stdout.encode() == bodies[0]
+
+
+# growth under the kernels that the invocations above leave out
+_KERNEL_GROWTH = {
+    f"growth-{kernel.partition(':')[0]}": ["growth", "--kernel", kernel, "--alpha", "0.05",
+                                            "--n", "300", "--sampler", sampler, "--seed", "4"]
+    for kernel, sampler in (("linear", "diag:1.0,0.5,0.25"), ("poly:2:1.0:0.5", "gauss:2"),
+                            ("pow:2:rbf:1.0", "gauss:2"))
+}
+
+# sha256 of each body, recorded before the per-kind kernel formulas were
+# merged into one; a body that changes here changed its numbers
+_BODY_SHA256 = {
+    "esp": "0c66ddd67c8fd49dc9293d70898384647e0011a37931a2e0e72f4f41d3b22d73",
+    "bound": "c005d2a26220c8888e348aa0f843ebd6c34bbd3fe5db1e546b7469e02d73d115",
+    "mc-gram": "510661712870272b79822374d852f05a4163edbbc3fb79bcc9f44abaaf384023",
+    "mc-moment": "004baa333aa031cb62a41943cb9e2fcf23cec9377fd236ae0901ff5503050509",
+    "kstar-tail": "498de09e0d6b02d9410366f67d00e1dd8c344a67c7cede8b9f21dded3802d433",
+    "growth": "19dace0cd736ba246efb407cabe1aaa6dbe19c8c6a65d9c6c1f3658f7c2d00f5",
+    "nystrom": "4c45a0c35f7a4fce3d9a0f12e0c01d1e0364c080d7b325d446302bb0a22feac0",
+    "regress": "61ed9c32b059829823cecd34cab0484a39e871cb60f3956a943e5a3ccb69b5de",
+    "spectrum-est": "4b92a9725fb041cac95221ef48763d17e7e7ebec5df1f5e285a1ee90eb8b220f",
+    "oks-run": "89ad753c73215160a77fe756bfc87bade51c43407562805c0d232a3b30153bc7",
+    "growth-linear": "d3716066b2c2552b700820393e5c305c2680dbdeb741d6f2b96041af59c7610c",
+    "growth-poly": "5634491360379a13306c635982da2a3ff1ca5de29aed66fd9ba278982ab1768f",
+    "growth-pow": "d918c7dedcd324eb4aa8c7cfa654292c22610ce71262859ba5ca6ad7918d6ce5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BODY_SHA256))
+def test_body_matches_its_recorded_digest(name, inputs, capsys):
+    rc, stdout, _ = _run(capsys, {**_invocations(inputs), **_KERNEL_GROWTH}[name])
+    assert rc == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _BODY_SHA256[name]
 
 
 @pytest.mark.parametrize("command", ["mc-gram", "kstar-tail"])
@@ -321,6 +356,24 @@ def test_bound_beyond_a_finite_spectrum_still_checks_its_arguments(n, alpha, del
     assert rc == 1
     assert stdout == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("kernel, sampler, message", [
+    ("rbf:1.0", "gauss:2:1e160", "points overflow: 2 |x|^2 is not finite"),
+    ("poly:3:1.0:1.0", "gauss:1:1e110", "k(x, x) = inf is not finite"),
+    ("rbf:inf", "gauss:1", "rbf bandwidth must be positive and finite"),
+    ("poly:2:inf:1.0", "gauss:1", "polynomial offset must be nonnegative and finite"),
+    ("poly:2:1.0:inf", "gauss:1", "polynomial scale must be positive and finite"),
+    ("rbf:1.0", "gauss:1:inf", "scale must be positive and finite"),
+], ids=["overflow-rbf", "overflow-poly", "rbf-bandwidth", "poly-offset", "poly-scale",
+        "gauss-scale"])
+def test_growth_refuses_what_would_make_a_kernel_value_non_finite(kernel, sampler, message,
+                                                                  capsys):
+    rc, stdout, err = _run(capsys, ["growth", "--kernel", kernel, "--sampler", sampler,
+                                    "--alpha", "0.1", "--n", "20", "--seed", "1"])
+    assert rc == 1
+    assert stdout == ""
+    assert message in err
 
 
 def test_growth_infinite_alpha_exits_1_and_writes_nothing(tmp_path, capsys):

@@ -11,7 +11,6 @@ from oks.kernels import (
     DEFAULT_PIVOT_TOL,
     KernelSpec,
     NotPsdError,
-    eval_kernel,
     gram,
     gram_cross,
     kernel_diag,
@@ -23,6 +22,7 @@ from oks.kernels import (
     rbf,
 )
 from oks.logvalue import LOG_ZERO, is_log_zero
+from oracles import eval_kernel
 
 
 def random_points(rng, n, d, scale=1.0):
@@ -33,17 +33,20 @@ def random_points(rng, n, d, scale=1.0):
 
 def test_linear_orthogonal_vectors():
     assert eval_kernel(linear(), [1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert gram_cross(linear(), [[1.0, 0.0]], [[0.0, 1.0]]).tolist() == [[0.0]]
 
 
 @pytest.mark.parametrize("bw", [0.25, 1.0, 3.0])
 def test_rbf_zero_distance(bw):
     x = np.array([0.3, -1.2, 4.0])
     assert eval_kernel(rbf(bw), x, x) == 1.0
+    assert kernel_diag(rbf(bw), [x]).tolist() == [1.0]
 
 
 def test_polynomial_example():
     # (scale * <x, y> + offset) ** degree = (1 * 2 + 1) ** 2
     assert eval_kernel(polynomial(2, 1.0, 1.0), [1.0, 1.0], [1.0, 1.0]) == 9.0
+    assert gram_cross(polynomial(2, 1.0, 1.0), [[1.0, 1.0]], [[1.0, 1.0]]).tolist() == [[9.0]]
 
 
 def test_dimension_mismatch():
@@ -56,6 +59,8 @@ def test_dimension_mismatch():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         eval_kernel(linear(), [np.nan, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        gram_cross(linear(), [[np.nan, 0.0]], [[1.0, 1.0]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,11 +167,62 @@ def test_rbf_matrices_equal_the_out_of_place_formula(shape, bw):
     assert np.array_equal(gram_cross(rbf(bw), xs, ys), cross(xs, ys))
 
 
+# each kind's formula over inner products ip and squared norms sx, sy, out of place
+_PLAIN = {
+    "linear": (linear(), lambda ip, sx, sy: ip),
+    "poly": (polynomial(3, 0.5, 1.5), lambda ip, sx, sy: (1.5 * ip + 0.5) ** 3),
+    "pow": (power(rbf(0.7), 2),
+            lambda ip, sx, sy: np.exp(-np.maximum(sx + sy - 2.0 * ip, 0.0) / (2.0 * 0.7**2)) ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PLAIN))
+@pytest.mark.parametrize("shape", [(40, 3), (5, 9, 2)], ids=["plain", "batched"])
+def test_other_kinds_match_the_out_of_place_formula(shape, kind):
+    spec, formula = _PLAIN[kind]
+    rng = np.random.default_rng(6)
+    xs = rng.standard_normal(shape)
+    ys = rng.standard_normal(shape[:-2] + (11, shape[-1]))
+
+    def cross(a, b):
+        sa, sb = np.sum(a * a, axis=-1), np.sum(b * b, axis=-1)
+        return formula(a @ b.swapaxes(-1, -2), sa[..., :, None], sb[..., None, :])
+
+    k = cross(xs, xs)
+    k = 0.5 * (k + k.swapaxes(-1, -2))
+    idx = np.arange(shape[-2])
+    s = np.sum(xs * xs, axis=-1)
+    k[..., idx, idx] = formula(s, s, s)
+    assert np.array_equal(gram(spec, xs), k)
+    assert np.array_equal(gram_cross(spec, xs, ys), cross(xs, ys))
+
+
 def test_kernel_diag_exact():
     rng = np.random.default_rng(2)
     pts = random_points(rng, 10, 4)
     assert np.array_equal(kernel_diag(rbf(2.0), pts), np.ones(10))
     assert np.allclose(kernel_diag(linear(), pts), np.sum(pts**2, axis=1), rtol=1e-15)
+    for spec in (polynomial(3, 0.5, 1.5), power(polynomial(2, 1.0, 0.5), 3), power(rbf(0.7), 2)):
+        oracle = [eval_kernel(spec, x, x) for x in pts]
+        assert kernel_diag(spec, pts) == pytest.approx(oracle, rel=1e-14)
+    # far from the origin |x|^2 + |x|^2 - 2 <x, x> still cancels exactly
+    assert np.array_equal(kernel_diag(rbf(1.0), [[1e150, -1e150], [3e150, 0.0]]), np.ones(2))
+    # 2 |x|^2 = 1.62e308 is finite, but 4 |x|^2 is not: computing sx + sy
+    # after overwriting ip with -2 ip, where ip aliases sx, would overflow
+    assert np.array_equal(kernel_diag(rbf(1.0), [[9e153]]), [1.0])
+    assert np.array_equal(gram(rbf(1.0), [[9e153]]), [[1.0]])
+
+
+@pytest.mark.parametrize("spec", [linear(), rbf(1.0), polynomial(2, 1.0, 1.0)],
+                         ids=["linear", "rbf", "poly"])
+def test_points_whose_doubled_squared_norm_overflows_are_refused(spec):
+    x = np.array([[0.5], [1e154]])  # |x|^2 = 1e308 is finite, 2 |x|^2 is not
+    for call in (lambda: kernel_diag(spec, x), lambda: gram(spec, x),
+                 lambda: gram_cross(spec, x, x[:1]), lambda: gram_cross(spec, x[:1], x)):
+        with pytest.raises(ValueError, match=r"points overflow: 2 \|x\|\^2 is not finite"):
+            call()
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        gram_cross(spec, x[:1], [[np.inf]])
 
 
 # --- log_det_psd -----------------------------------------------------------
@@ -413,6 +469,7 @@ def test_kernel_parse_examples():
 
 
 def test_kernel_parse_failures():
-    for bad in ("", "gauss:1", "rbf", "rbf:-1", "poly:0:1:1", "pow:2", "pow:0:linear"):
+    for bad in ("", "gauss:1", "rbf", "rbf:-1", "poly:0:1:1", "pow:2", "pow:0:linear",
+                "rbf:inf", "poly:2:inf:1", "poly:2:nan:1", "poly:2:1:inf"):
         with pytest.raises(ValueError):
             KernelSpec.from_text(bad)

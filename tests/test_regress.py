@@ -4,6 +4,7 @@ import pytest
 from oks.kernels import linear, rbf
 from oks.regress import features, fit, read_labeled_csv, write_labeled_csv
 from oks.sparsifier import Dictionary, run_stream
+from oracles import eval_kernel
 
 
 def full_dictionary(kernel, points, alpha=1e-9):
@@ -50,7 +51,6 @@ def test_predict_zero_weights():
 
 
 def test_predict_single_member():
-    from oks.kernels import eval_kernel
     from oks.regress import RegressionModel
 
     d = full_dictionary(rbf(1.0), np.array([[1.0]]), alpha=0.5)

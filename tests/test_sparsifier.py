@@ -10,7 +10,7 @@ from oks.harness import Sampler, load_dictionary, save_dictionary
 from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
 from oks.logvalue import is_log_zero
 from oks.sparsifier import BLOCK, PANEL, Dictionary, NumericalConsistencyError, run_stream
-from oracles import check_alpha_compatible, kstar_oracle
+from oracles import check_alpha_compatible, eval_kernel, kstar_oracle
 
 log = logging.getLogger(__name__)
 
@@ -29,13 +29,9 @@ def mixed_kernel(rng):
 def dense_residual(kernel, members, x):
     """Reference residual via a dense solve against the full member Gram."""
     if len(members) == 0:
-        from oks.kernels import eval_kernel
-
         return eval_kernel(kernel, x, x)
     g = gram_cross(kernel, x[None, :], np.asarray(members))[0]
     gd = gram(kernel, np.asarray(members))
-    from oks.kernels import eval_kernel
-
     return eval_kernel(kernel, x, x) - float(g @ np.linalg.solve(gd, g))
 
 
@@ -323,6 +319,17 @@ def test_extend_failure_semantics():
     assert d.members.tolist() == [[0.0], [5.0]]
 
 
+def test_a_nan_residual_is_a_fault_not_a_rejection():
+    d = Dictionary(rbf(1.0), 0.5)
+    d.offer([0.0])
+    d._fac[0, 0] = np.nan
+    with pytest.raises(NumericalConsistencyError, match="projection residual nan"):
+        d.extend([[0.0]])
+    with pytest.raises(NumericalConsistencyError):
+        d.residual([3.0])
+    assert len(d) == 1
+
+
 # --- panel pruning ----------------------------------------------------------------
 
 def _pruning_case():
@@ -405,6 +412,22 @@ def test_extend_validates_before_admitting():
         d.extend([0.0, 1.0])
     assert len(d) == 0
     assert d.extend(np.zeros((0, 1))).shape == (0,)
+
+
+@pytest.mark.parametrize("kernel, scale, message", [
+    (rbf(1.0), 1e160, "points overflow"),
+    (linear(), 1e160, "points overflow"),
+    (polynomial(3, 1.0, 1.0), 1e110, r"k\(x, x\) = inf is not finite at row 256"),
+], ids=["rbf", "linear", "poly"])
+def test_extend_refuses_a_non_finite_k_xx_before_admitting(kernel, scale, message):
+    # the offending row sits in the second block, after rows that would be admitted
+    pts = np.random.default_rng(4).standard_normal((BLOCK + 1, 1))
+    pts[BLOCK] *= scale
+    d = Dictionary(kernel, 0.1)
+    with pytest.raises(ValueError, match=message):
+        d.extend(pts)
+    assert len(d) == 0
+    assert d.log_det == 0.0
 
 
 # --- alpha-compatibility --------------------------------------------------------
