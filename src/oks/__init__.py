@@ -37,7 +37,6 @@ from .regress import RegressionModel
 from .sparsifier import (
     Admission,
     Dictionary,
-    GrowthTrace,
     NumericalConsistencyError,
     run_stream,
 )
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Admission",
     "Dictionary",
-    "GrowthTrace",
     "KernelSpec",
     "LOG_ZERO",
     "LogValue",

@@ -207,8 +207,8 @@ def _csv(header, rows) -> str:
     return body.getvalue()
 
 
-def _trace_csv(trace) -> str:
-    return _csv(["n", "dict_size", "log_det"], zip(trace.samples, trace.dict_size, trace.log_det))
+# the columns of a run_stream row, as growth and oks-run write them
+_TRACE_HEADER = ("n", "dict_size", "log_det")
 
 
 def _input_files(eff: dict) -> list[str]:
@@ -316,10 +316,10 @@ def _parse_checkpoints(text: str | None, n: int) -> list[int]:
 def _cmd_growth(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
     sampler = _parse_sampler(eff["sampler"], eff["seed"])
-    trace = growth_experiment(
+    rows = growth_experiment(
         sampler, kernel, eff["alpha"], eff["n"], _parse_checkpoints(eff.get("checkpoints"), eff["n"])
     )
-    emit(_trace_csv(trace))
+    emit(_csv(_TRACE_HEADER, rows))
 
 
 def _cmd_nystrom(eff: dict, emit: Emit) -> None:
@@ -386,10 +386,10 @@ def _cmd_oks_run(eff: dict, emit: Emit) -> None:
     if every < 0:
         raise CliError("--trace-every must be >= 0")
     marks = range(every, len(pts), every) if every else ()
-    d, trace = run_stream(kernel, eff["alpha"], pts, marks)
+    d, rows = run_stream(kernel, eff["alpha"], pts, marks)
     if eff.get("out"):
         save_dictionary(d, eff["out"] + ".dict.csv")
-    emit(_trace_csv(trace))
+    emit(_csv(_TRACE_HEADER, rows))
 
 
 # ---------------------------------------------------------------------------

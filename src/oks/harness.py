@@ -31,7 +31,7 @@ from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as th
 
 from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
 from .logvalue import LogValue
-from .sparsifier import Dictionary, GrowthTrace, run_stream
+from .sparsifier import Dictionary, run_stream
 from .symfun import Spectrum
 
 __all__ = [
@@ -246,9 +246,10 @@ def growth_experiment(
     alpha: float,
     n_max: int,
     checkpoints: Iterable[int],
-) -> GrowthTrace:
-    """Stream n_max sampled points through a dictionary, recording at each
-    checkpoint and at n_max."""
+) -> list[tuple[int, int, LogValue]]:
+    """Stream n_max sampled points through a dictionary; return one row
+    ``(n, |D|, log det G_D)`` after the first n points, for each distinct
+    checkpoint n and for n_max, in increasing n."""
     if not 1 <= n_max <= 100_000:
         raise ValueError("n_max must lie in [1, 100000]")
     marks = sorted({int(c) for c in checkpoints})

@@ -184,10 +184,25 @@ def _form(spec: KernelSpec, ip: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> n
     return k
 
 
+def _diag(spec: KernelSpec, s: np.ndarray) -> np.ndarray:
+    """k(x, x) from the squared norms ``s`` of checked points, refused
+    unless finite; a finite diagonal bounds every other entry, by
+    |k(x, y)| <= sqrt(k(x, x) k(y, y))."""
+    with np.errstate(over="ignore"):  # refused below
+        k = _form(spec, s.copy(), s, s)
+    bad = ~np.isfinite(k)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), k.shape)
+        row = int(at[0]) if k.ndim == 1 else tuple(map(int, at))
+        raise ValueError(f"k(x, x) = {k[at]} is not finite at row {row}")
+    return k
+
+
 def kernel_diag(spec: KernelSpec, points) -> np.ndarray:
-    """k(x, x) for each point row (exactly 1 for rbf)."""
+    """k(x, x) for each point row (exactly 1 for rbf); raises ``ValueError``
+    when one is not finite."""
     _, s = _check_points(points)
-    return _form(spec, s.copy(), s, s)
+    return _diag(spec, s)
 
 
 def gram_cross(spec: KernelSpec, xs, ys) -> np.ndarray:
@@ -207,16 +222,19 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     """Gram matrix of a point set; symmetric with an exactly evaluated diagonal.
 
     ``points`` may be empty (order-0 matrix) or carry leading batch axes.
+    Raises ``ValueError`` when some k(x, x) is not finite, before the other
+    entries are formed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0 and pts.ndim <= 2:
         return np.zeros((0, 0))
     pts, s = _check_points(pts)
+    diag = _diag(spec, s)
     k = _form(spec, pts @ pts.swapaxes(-1, -2), s[..., :, None], s[..., None, :])
     k += k.swapaxes(-1, -2)  # numpy buffers the overlapping operand: k + k^T
     k *= 0.5
     idx = np.arange(pts.shape[-2])
-    k[..., idx, idx] = _form(spec, s.copy(), s, s)
+    k[..., idx, idx] = diag
     return k
 
 

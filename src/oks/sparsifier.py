@@ -32,7 +32,6 @@ admission; a point-at-a-time solve costs O(|D|^2) for every offered point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ from .logvalue import LogValue
 __all__ = [
     "Admission",
     "Dictionary",
-    "GrowthTrace",
     "NumericalConsistencyError",
     "run_stream",
 ]
@@ -250,12 +248,7 @@ class Dictionary:
             raise ValueError("expected an (m, d) array of points")
         if self._dim is not None and pts.shape[1] != self._dim:
             raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, the dictionary has {self._dim}")
-        with np.errstate(over="ignore"):  # refused below
-            diag = kernel_diag(self.kernel, pts)  # refuses non-finite coordinates itself
-        bad = np.flatnonzero(~np.isfinite(diag))
-        if bad.size:
-            raise ValueError(f"k(x, x) = {diag[bad[0]]} is not finite at row {bad[0]}")
-        return pts, diag
+        return pts, kernel_diag(self.kernel, pts)  # refuses non-finite coordinates and k(x, x)
 
     def _ensure_capacity(self, n: int, dim: int) -> None:
         if self._pts is None:
@@ -292,37 +285,12 @@ def _settled(delta: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return np.where(delta < 0, 0.0, delta)
 
 
-@dataclass(frozen=True)
-class GrowthTrace:
-    """Per-checkpoint record (samples seen, dictionary size, log det) of a run."""
-
-    samples: np.ndarray
-    dict_size: np.ndarray
-    log_det: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = np.asarray(self.samples, dtype=int)
-        size = np.asarray(self.dict_size, dtype=int)
-        ld = np.asarray(self.log_det, dtype=float)
-        if not (n.ndim == size.ndim == ld.ndim == 1 and n.size == size.size == ld.size):
-            raise ValueError("trace columns must be 1-D and equally long")
-        if np.any(size[1:] < size[:-1]):
-            raise ValueError("dictionary size must be nondecreasing")
-        if np.any(size > n):
-            raise ValueError("dictionary size cannot exceed samples seen")
-        for name, arr in (("samples", n), ("dict_size", size), ("log_det", ld)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-
 def run_stream(
     kernel: KernelSpec, alpha: float, points, marks: Sequence[int] = ()
-) -> tuple[Dictionary, GrowthTrace]:
-    """Offer points in order; record (n, |D|, log det) once the first n points
-    are offered, for each n in ``marks`` and for n at the end of the stream.
+) -> tuple[Dictionary, list[tuple[int, int, LogValue]]]:
+    """Offer points in order; return the dictionary and one row
+    ``(n, |D|, log det G_D)`` per mark, taken once the first n points are
+    offered, for each n in ``marks`` and for n at the end of the stream.
 
     ``marks`` must increase strictly, from at least 1 up to at most the
     number of points; a mark at the end is recorded once.
@@ -336,12 +304,10 @@ def run_stream(
     if ends[0] < 1 or any(b <= a for a, b in zip(ends, ends[1:])):
         raise ValueError("marks must increase strictly from 1 or more to at most the stream length")
     d = Dictionary(kernel, alpha)
-    sizes, log_dets = [], []
+    rows = []
     seen = 0
     for mark in ends:
         d.extend(pts[seen:mark])
         seen = mark
-        sizes.append(len(d))
-        log_dets.append(d.log_det)
-    return d, GrowthTrace(np.array(ends), np.array(sizes), np.array(log_dets))
-
+        rows.append((mark, len(d), d.log_det))
+    return d, rows

@@ -162,24 +162,13 @@ def esp_brute(spec: Spectrum, k: int) -> LogValue:
         raise ValueError("k must be >= 0")
     if k > n_len:
         return LOG_ZERO
+    # imported here: at module level it would add tens of ms to ``import oks``
+    from scipy.special import logsumexp
+
     with np.errstate(divide="ignore"):
         logs = np.log(spec.values)
     terms = [logs[list(c)].sum() for c in combinations(range(n_len), k)]
-    return float(log_factorial(k) + _logsumexp(np.array(terms)))
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-D array, rounded as ``scipy.special.logsumexp``
-    rounds it: the m terms equal to the max leave the shifted sum."""
-    a_max = a.max()
-    if a_max == LOG_ZERO:
-        return LOG_ZERO
-    top = a == a_max
-    m = float(top.sum())
-    s = np.exp(np.where(top, LOG_ZERO, a) - a_max).sum()
-    if s != 0:
-        s = s / m
-    return np.log1p(s) + np.log(m) + a_max
+    return float(log_factorial(k) + logsumexp(terms))
 
 
 def tail_sum(spec: Spectrum, k: int) -> float:

@@ -100,8 +100,15 @@ _KERNEL_GROWTH = {
                             ("pow:2:rbf:1.0", "gauss:2"))
 }
 
+# growth at explicit checkpoints, unsorted and repeated: it writes the marks 10, 40 and 50
+_CHECKPOINT_GROWTH = {
+    "growth-checkpoints": ["growth", "--kernel", "rbf:1.0", "--alpha", "0.1", "--n", "50",
+                           "--seed", "1", "--checkpoints", "40,10,10"],
+}
+
 # sha256 of each body, recorded before the per-kind kernel formulas were
-# merged into one; a body that changes here changed its numbers
+# merged into one (growth-checkpoints: before run_stream returned its rows
+# as plain tuples); a body that changes here changed its numbers
 _BODY_SHA256 = {
     "esp": "0c66ddd67c8fd49dc9293d70898384647e0011a37931a2e0e72f4f41d3b22d73",
     "bound": "c005d2a26220c8888e348aa0f843ebd6c34bbd3fe5db1e546b7469e02d73d115",
@@ -116,12 +123,14 @@ _BODY_SHA256 = {
     "growth-linear": "d3716066b2c2552b700820393e5c305c2680dbdeb741d6f2b96041af59c7610c",
     "growth-poly": "5634491360379a13306c635982da2a3ff1ca5de29aed66fd9ba278982ab1768f",
     "growth-pow": "d918c7dedcd324eb4aa8c7cfa654292c22610ce71262859ba5ca6ad7918d6ce5",
+    "growth-checkpoints": "392e91ce94e41ba54ac4f5ee5c9af9e3270e954a52bd7512d25df63d94f4b9a7",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BODY_SHA256))
 def test_body_matches_its_recorded_digest(name, inputs, capsys):
-    rc, stdout, _ = _run(capsys, {**_invocations(inputs), **_KERNEL_GROWTH}[name])
+    rc, stdout, _ = _run(capsys,
+                         {**_invocations(inputs), **_KERNEL_GROWTH, **_CHECKPOINT_GROWTH}[name])
     assert rc == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == _BODY_SHA256[name]
 
@@ -376,6 +385,22 @@ def test_growth_refuses_what_would_make_a_kernel_value_non_finite(kernel, sample
     assert message in err
 
 
+@pytest.mark.parametrize("args", [
+    ["mc-gram", "--k", "2", "--trials", "1000"],
+    ["mc-moment", "--k", "2", "--m", "2", "--trials", "1000"],
+    ["kstar-tail", "--alpha", "0.5", "--n", "5", "--k", "2", "--trials", "1000"],
+    ["spectrum-est", "--n", "5"],
+], ids=lambda args: args[0])
+def test_gram_commands_refuse_a_non_finite_k_xx(args, capsys):
+    # |x|^2 is finite at |x| ~ 1e110, but (|x|^2 + 1)^3 is not: a Monte Carlo
+    # mean must not come out of inf Gram entries, nor an eigensolver fail on them
+    rc, stdout, err = _run(capsys, [*args, "--kernel", "poly:3:1.0:1.0",
+                                    "--sampler", "gauss:1:1e110", "--seed", "1"])
+    assert rc == 1
+    assert stdout == ""
+    assert err.startswith("error: k(x, x) = inf is not finite at row ")
+
+
 def test_growth_infinite_alpha_exits_1_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "g.csv"
     rc, stdout, err = _run(capsys, ["growth", "--kernel", "rbf:1.0", "--alpha", "inf", "--n", "20",
@@ -415,6 +440,50 @@ def test_bound_bad_delta_is_a_usage_error(capsys):
 def test_missing_subcommand_and_required_option_exit_1(capsys):
     assert _run(capsys, [])[0] == 1
     assert _run(capsys, ["esp", "--k", "3"])[0] == 1
+
+
+_GROWTH_10 = ["growth", "--kernel", "rbf:1.0", "--alpha", "0.1", "--n", "10"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ([*_GROWTH_10, "--sampler", "gauss:2"], "--seed is required for stochastic samplers"),
+    ([*_GROWTH_10, "--sampler", "bogus:2", "--seed", "1"],
+     "cannot parse sampler 'bogus:2' (expected diag:..., gauss:..., data:...)"),
+    (["esp", "--spectrum", "geometric:2", "--k", "-1"], "--k must be >= 0"),
+    (["esp", "--spectrum", "explicit:" + ",".join(["0.5"] * 23), "--k", "2", "--brute"],
+     "--brute needs a spectrum of length <= 22"),
+    (["bound", "--n", "10", "--k", "3", "--alpha", "0.5", "--spectrum", "/nonexistent.csv"],
+     "cannot load spectrum '/nonexistent.csv': "),
+], ids=["no-seed", "bogus-sampler", "esp-negative-k", "brute-23-values", "missing-spectrum"])
+def test_usage_error_exits_1_with_its_message(args, message, capsys):
+    rc, stdout, err = _run(capsys, args)
+    assert rc == 1
+    assert stdout == ""
+    assert err.startswith(f"usage error: {message}")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("k 3", "{config}:2: expected key=value, got 'k 3'"),
+    ("k=three", "config key 'k': invalid literal for int() with base 10: 'three'"),
+    ("brute=maybe", "config key 'brute': expected a boolean, got 'maybe'"),
+], ids=["no-equals", "bad-int", "bad-bool"])
+def test_malformed_config_line_exits_1(line, message, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"spectrum=geometric:2\n{line}\n")
+    rc, stdout, err = _run(capsys, ["esp", "--k", "3", "--config", str(config)])
+    assert rc == 1
+    assert stdout == ""
+    assert err == f"usage error: {message.format(config=config)}\n"
+
+
+def test_config_flag_set_to_no_overrides_the_command_line(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("brute=no\n")
+    args = ["esp", "--spectrum", "explicit:0.5,0.25", "--k", "2"]
+    rc, stdout, _ = _run(capsys, [*args, "--brute", "--config", str(config)])
+    assert rc == 0
+    assert stdout.startswith("k,log_nu\n")
+    assert stdout == _run(capsys, args)[1]
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):

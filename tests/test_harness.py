@@ -370,14 +370,13 @@ def test_growth_constant_stream_is_flat(tmp_path):
     path = str(tmp_path / "const.csv")
     with open(path, "w") as fh:
         fh.writelines("1.0,2.0\n" for _ in range(50))
-    trace = growth_experiment(Sampler.dataset(path), rbf(1.0), 0.01, 50, [10, 25])
-    assert list(trace.samples) == [10, 25, 50]
-    assert list(trace.dict_size) == [1, 1, 1]
+    rows = growth_experiment(Sampler.dataset(path), rbf(1.0), 0.01, 50, [10, 25])
+    assert [(n, size) for n, size, _ in rows] == [(10, 1), (25, 1), (50, 1)]
 
 
 def test_growth_rank_cap_linear_kernel():
-    trace = growth_experiment(Sampler.gaussian_input(3, 1.0, 3), linear(), 1e-6, 400, [100])
-    assert trace.dict_size[-1] <= 3
+    rows = growth_experiment(Sampler.gaussian_input(3, 1.0, 3), linear(), 1e-6, 400, [100])
+    assert rows[-1][1] <= 3
 
 
 def test_growth_checkpoint_validation():

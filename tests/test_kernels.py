@@ -225,6 +225,18 @@ def test_points_whose_doubled_squared_norm_overflows_are_refused(spec):
         gram_cross(spec, x[:1], [[np.inf]])
 
 
+def test_gram_refuses_a_non_finite_k_xx_in_a_stack():
+    # |x|^2 = 1e220 is finite, (|x|^2 + 1)^3 is not; the refusal comes before
+    # the other entries overflow, which would warn
+    stack = np.random.default_rng(8).standard_normal((3, 4, 1))
+    stack[2, 1] = 1e110
+    spec = polynomial(3, 1.0, 1.0)
+    for call in (lambda: gram(spec, stack), lambda: kernel_diag(spec, stack)):
+        with pytest.raises(ValueError, match=r"k\(x, x\) = inf is not finite at row \(2, 1\)"):
+            call()
+    assert np.isfinite(gram(spec, stack[:2])).all()
+
+
 # --- log_det_psd -----------------------------------------------------------
 
 def test_logdet_identity():

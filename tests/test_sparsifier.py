@@ -112,9 +112,9 @@ def test_factor_reproduces_gram():
 
 def test_stream_identical_points():
     pts = np.tile([[1.5, -0.5]], (40, 1))
-    d, trace = run_stream(rbf(1.0), 0.01, pts)
+    d, rows = run_stream(rbf(1.0), 0.01, pts)
     assert len(d) == 1
-    assert trace.dict_size[-1] == 1
+    assert rows == [(40, 1, d.log_det)]
 
 
 def test_stream_orthonormal_basis():
@@ -124,18 +124,22 @@ def test_stream_orthonormal_basis():
 
 def test_stream_trace_records():
     pts = np.random.default_rng(0).standard_normal((10, 1))
-    _, trace = run_stream(rbf(1.0), 0.2, pts, [3, 6, 9])
-    assert list(trace.samples) == [3, 6, 9, 10]
-    assert np.all(trace.dict_size[1:] >= trace.dict_size[:-1])
-    assert np.all(trace.dict_size <= trace.samples)
+    d, rows = run_stream(rbf(1.0), 0.2, pts, [3, 6, 9])
+    # one (n, |D|, log det) row of plain Python numbers per mark and the end
+    assert [type(v) for row in rows for v in row] == [int, int, float] * 4
+    n, size, log_det = zip(*rows)
+    assert n == (3, 6, 9, 10)
+    assert all(a <= b for a, b in zip(size, size[1:]))
+    assert all(s <= m for s, m in zip(size, n))
+    assert (size[-1], log_det[-1]) == (len(d), d.log_det)
 
 
 def test_stream_records_a_mark_at_the_end_once():
     pts = np.random.default_rng(0).standard_normal((10, 1))
     _, plain = run_stream(rbf(1.0), 0.2, pts, [4])
     _, ended = run_stream(rbf(1.0), 0.2, pts, [4, 10])
-    assert list(ended.samples) == list(plain.samples) == [4, 10]
-    assert np.array_equal(ended.dict_size, plain.dict_size)
+    assert [row[0] for row in ended] == [4, 10]
+    assert ended == plain
     for marks in ([0, 4], [4, 4], [6, 4], [4, 11]):
         with pytest.raises(ValueError):
             run_stream(rbf(1.0), 0.2, pts, marks)
@@ -151,7 +155,7 @@ def test_stream_matches_dense_reference_run():
     # implementation that recomputes each residual by a dense solve
     rng = np.random.default_rng(77)
     pts = rng.standard_normal((10_000, 1))
-    d, trace = run_stream(rbf(1.0), 0.01, pts, [2500, 5000, 7500])
+    d, rows = run_stream(rbf(1.0), 0.01, pts, [2500, 5000, 7500])
 
     members: list[np.ndarray] = []
     sizes = []
@@ -160,7 +164,7 @@ def test_stream_matches_dense_reference_run():
             members.append(x)
         if i % 2500 == 0 or i == len(pts):
             sizes.append(len(members))
-    assert sizes == [int(s) for s in trace.dict_size]
+    assert sizes == [size for _, size, _ in rows]
     assert np.array_equal(d.members, np.array(members))
 
 
