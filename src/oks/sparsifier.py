@@ -15,18 +15,26 @@ partial residual ``k(x, x) - |w|^2`` is its residual against the members of
 the panels so far.  It never increases from one panel to the next, so a
 candidate whose partial residual is at most ``alpha`` is rejected whatever
 the later rows hold; it is dropped, and later panels compute kernel rows and
-coordinates only for the candidates still alive.  The block is then walked
-in order: an admission appends one factor row, and each later surviving
-candidate gains one coordinate against that row and loses its square from
-its residual.  That is forward substitution against the grown factor, so in
-exact arithmetic every decision equals the one-point-at-a-time rule; in
-floating point a residual within rounding of ``alpha`` may be decided
-differently than by a point-at-a-time solve, depending on the block and
-panel boundaries.  A rejected candidate reports its partial residual where
-it was dropped: an upper bound on its full residual, and at most ``alpha``.
-A block costs O(|D| r B) for the panels, where r is the number of factor
-rows a candidate survives (|D| for admitted ones), plus O(|D| B) per
-admission; a point-at-a-time solve costs O(|D|^2) for every offered point.
+coordinates only for the candidates still alive.  Only the h candidates
+whose residual after the solve still exceeds ``alpha`` can be admitted; the
+others are rejected for good.  When h > 1 the block forms their Schur
+complement S = K(X_h, X_h) - W_h W_h^T once, one h x h Gram and one GEMM, and
+walks the block in order as a left-looking Cholesky of S with skips: an
+admission appends one factor row, and each later hot candidate gains one
+coordinate against that row, from S and its coordinates against the block's
+earlier admissions, and loses its square from its residual.  That is forward
+substitution against the grown factor, so in exact arithmetic every decision
+equals the one-point-at-a-time rule.  In floating point the panel sums and S
+round differently from a point-at-a-time solve, so a residual within rounding
+of ``alpha`` may be decided differently, depending on the block and panel
+boundaries.  A rejected candidate that a panel dropped reports its partial
+residual there, and one that was not hot after the solve reports its
+residual against the factor as it stood before the block: either is an upper
+bound on its full residual, and at most ``alpha``.  A block costs O(|D| r B)
+for the panels, where r is the number of factor rows a candidate survives
+(|D| for the hot ones), plus O(|D| h^2) for S and O(h t) per admission,
+where t <= B counts the block's admissions so far; a point-at-a-time solve
+costs O(|D|^2) for every offered point.
 """
 
 from __future__ import annotations
@@ -131,15 +139,21 @@ class Dictionary:
         Each row meets the dictionary as it stands at its turn, including the
         rows of ``points`` admitted before it, so in exact arithmetic the
         result equals that of offering the rows one at a time (a residual
-        within rounding of ``alpha`` may be decided differently, depending on
-        the block and panel boundaries).  An admitted row reports its full
-        residual.  A rejected row may report its partial residual against
-        the leading members, where its forward substitution stopped: an upper
-        bound on its full residual, and at most ``alpha``.  Residuals in the
-        rounding window ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)`` report 0;
-        a residual below it raises :class:`NumericalConsistencyError` before
-        any later row is admitted.  Cost: O(|D| r) per row for the
-        substitution, where r is the number of factor rows the row survives.
+        within rounding of ``alpha`` may be decided differently, since the
+        panel sums and the in-block Schur complement round differently from a
+        one-point solve).  An admitted row reports its full residual.  A
+        rejected row may report its partial residual against the leading
+        members, where its forward substitution stopped, or its residual
+        against the dictionary as it stood before its block of ``BLOCK``
+        rows: either is an upper bound on its full residual, and at most
+        ``alpha``.  Residuals in the rounding window
+        ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)`` report 0; a residual below
+        it raises :class:`NumericalConsistencyError` before any later row is
+        admitted.  Cost: O(|D| r) per row for the substitution, where r is
+        the number of factor rows the row survives; per block with h > 1
+        rows still above ``alpha`` after it, one h x h Gram and one GEMM,
+        plus O(h t) per admission, where t <= ``BLOCK`` counts the block's
+        admissions so far.
         Raises ``ValueError`` before admitting any row when some row has a
         non-finite coordinate or a non-finite k(x, x).
         """
@@ -153,44 +167,50 @@ class Dictionary:
     def _extend_block(self, xb: np.ndarray, diag: np.ndarray) -> np.ndarray:
         """Sequential ALD rule over one block, after one panelled solve.
 
-        Only the candidates that got through the solve (``live``) are walked.
-        ``coords[i]`` holds the coordinates of x_live[i] against the factor
-        as it grows: the first |D| from the solve, one more per admission in
-        the block.  Admitting x_j = x_live[i] appends the factor row
-        (coords[i], sqrt(delta_j)); every later live x_l = x_live[p] gains
-        the coordinate c = (k(x_l, x_j) - coords[p] . coords[i]) / sqrt(delta_j),
-        and its residual drops by c**2.  That is forward substitution against the
-        appended row: in exact arithmetic, the one-point-at-a-time rule.  A
-        dropped candidate's residual is already at most alpha and only falls
-        further, so it is never updated and stays rejected.
+        Only the candidates still above alpha after the solve (``hot``, with
+        coordinates ``w`` against the factor as it stood before the block)
+        can be admitted; the others are rejected for good and keep the
+        residual the solve left them.  The walk is a left-looking Cholesky,
+        with skips, of the hot candidates' Schur complement
+        S = K(X_hot, X_hot) - w @ w.T.  ``c[p, :t]`` holds the coordinates of
+        hot candidate p against the t rows admitted in the block so far.
+        Admitting hot candidate i with root sqrt(delta) appends the factor
+        row (w[i], c[i, :t], sqrt(delta)); every later hot candidate p gains
+        the coordinate (S[i, p] - c[p, :t] . c[i, :t]) / sqrt(delta), and its
+        residual drops by that coordinate squared.  That is forward
+        substitution against the appended row: in exact arithmetic, the
+        one-point-at-a-time rule.
         """
         delta, floor, live, w = self._block_residuals(xb, diag, self.alpha)
-        b, n, a = xb.shape[0], self._n, live.size
-        coords = np.empty((a, n + a))
-        coords[:, :n] = w
-        q = l = 0  # next live candidate to test, next block row to settle
-        while True:
+        keep = delta[live] > self.alpha
+        hot, w = live[keep], w[keep]
+        h = hot.size
+        # the walk reads S above its diagonal only, so a block with fewer than
+        # two hot candidates (the common block of a reject-heavy stream) forms
+        # no Gram
+        if h > 1:
+            s = gram_cross(self.kernel, xb[hot], xb[hot]) - w @ w.T
+        c = np.empty((h, h))
+        l = t = 0  # next block row to settle, admissions in the block so far
+        for i, j in enumerate(hot.tolist()):
             # a delta within rounding of alpha may land on either side of it,
             # unlike with a per-point solve, depending on the block and panel
             # boundaries
-            hits = np.flatnonzero(delta[live[q:]] > self.alpha)
-            i = q + int(hits[0]) if hits.size else a
-            j = int(live[i]) if i < a else b
-            # rows l..j-1, dropped or not, are rejected for good, in stream
+            if not delta[j] > self.alpha:
+                continue
+            # rows l..j-1, hot or not, are rejected for good, in stream
             # order; a fault among them raises before x_j is admitted
-            delta[l:j] = _settled(delta[l:j], floor[l:j])
-            if j == b:
-                return delta
-            m = self._n
+            if l < j:
+                delta[l:j] = _settled(delta[l:j], floor[l:j])
             root = math.sqrt(delta[j])
-            self._append(xb[j], coords[i, :m], root, float(delta[j]))
-            l, q = j + 1, i + 1
-            if q < a:
-                later = live[q:]
-                k = gram_cross(self.kernel, xb[later], xb[j : j + 1])[:, 0]
-                c = (k - coords[q:, :m] @ coords[i, :m]) / root
-                coords[q:, m] = c
-                delta[later] -= c * c
+            self._append(xb[j], np.concatenate((w[i], c[i, :t])), root, float(delta[j]))
+            if i + 1 < h:
+                cq = (s[i, i + 1 :] - c[i + 1 :, :t] @ c[i, :t]) / root
+                c[i + 1 :, t] = cq
+                delta[hot[i + 1 :]] -= cq * cq
+            l, t = j + 1, t + 1
+        delta[l:] = _settled(delta[l:], floor[l:])
+        return delta
 
     def _block_residuals(self, xb: np.ndarray, delta: np.ndarray, stop: float):
         """Residuals of the rows of ``xb`` against the current factor, lowered

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oks import sparsifier
 from oks.harness import Sampler, load_dictionary, save_dictionary
 from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
 from oks.logvalue import is_log_zero
@@ -334,6 +335,66 @@ def test_a_nan_residual_is_a_fault_not_a_rejection():
     assert len(d) == 1
 
 
+# --- the in-block walk ----------------------------------------------------------
+
+def test_an_admission_heavy_block_matches_a_point_at_a_time_replay():
+    # rbf:1.0 on gauss:10 at alpha 0.8 admits 95% of 600 points over three
+    # blocks, and admitted rows of one block couple (kernel values above 0.3),
+    # so each admission moves the residuals of the later rows of its block
+    kernel, alpha = rbf(1.0), 0.8
+    pts = Sampler.gaussian_input(10, 1.0, 1).points(2 * BLOCK + 88)
+    d = Dictionary(kernel, alpha)
+    res = d.extend(pts)
+
+    ref = Dictionary(kernel, alpha)
+    full = np.empty(len(pts))
+    for i, x in enumerate(pts):
+        full[i] = ref.residual(x)
+        assert ref.offer(x).admitted == (full[i] > alpha)
+    admitted = full > alpha
+    assert 0.9 * len(pts) < admitted.sum() < len(pts)
+    assert np.array_equal(d.members, ref.members)
+    assert np.array_equal(res > alpha, admitted)
+    assert np.allclose(res[admitted], full[admitted], rtol=1e-9, atol=1e-12)
+    assert np.all(full[~admitted] - 1e-12 <= res[~admitted])
+    assert np.all(res[~admitted] <= alpha)
+    g = gram(kernel, d.members)
+    L = d.factor
+    assert np.allclose(L @ L.T, g, rtol=0, atol=1e-10)
+    assert np.allclose(L, ref.factor, rtol=0, atol=1e-10)
+    assert d.log_det == sum(math.log(r) for r in res[admitted])
+    block = (np.arange(len(pts)) // BLOCK)[admitted]
+    coupled = (block[:, None] == block[None, :]) & ~np.eye(len(d), dtype=bool)
+    assert g[coupled].max() > 0.3
+
+
+def test_a_block_forms_no_in_block_gram_below_two_hot_candidates(monkeypatch):
+    # duplicates of the members in the last panel: each keeps a residual above
+    # alpha against the members before its own, so all of them get through
+    # every panel, and then each has a full residual of 0
+    kernel, alpha, pts = _pruning_case()
+    d = Dictionary(kernel, alpha)
+    d.extend(pts)
+    size = len(d)
+    assert size > PANEL
+    dups = d.members[(size - 1) // PANEL * PANEL :]
+    entries = []
+
+    def counted(kernel, x, y):
+        entries.append(len(x) * len(y))
+        return gram_cross(kernel, x, y)
+
+    monkeypatch.setattr(sparsifier, "gram_cross", counted)
+    res = d.extend(dups)
+    assert len(d) == size and np.all(res <= alpha)
+    # one kernel value per candidate and member, and none among the candidates
+    assert sum(entries) == len(dups) * size
+    entries.clear()
+    # a far point is the block's one hot candidate, and no later one needs S
+    assert d.offer(np.full(5, 50.0)).admitted
+    assert sum(entries) == size
+
+
 # --- panel pruning ----------------------------------------------------------------
 
 def _pruning_case():
@@ -406,6 +467,20 @@ def test_a_long_stream_keeps_its_factor_and_log_det_against_dense():
     # entries of G are at most 1: ten times |D| * eps
     L = d.factor
     assert np.max(np.abs(L @ L.T - g)) < 1e-12
+
+
+def test_an_admission_heavy_stream_keeps_its_factor_and_log_det_against_dense():
+    # rbf:1.0, gauss:10 at seed 1, alpha 0.05: every point is admitted, so
+    # every block runs the in-block walk
+    d, _ = run_stream(rbf(1.0), 0.05, Sampler.gaussian_input(10, 1.0, 1).points(2000))
+    assert len(d) == 2000
+    g = gram(d.kernel, d.members)
+    sign, log_det = np.linalg.slogdet(g)
+    # |D| * cond(G) * eps = 2000 * 121 * 1.1e-16, about 2.7e-11
+    assert sign == 1 and abs(d.log_det - log_det) < 2.7e-11
+    # entries of G are at most 1: ten times |D| * eps, about 2.2e-12
+    L = d.factor
+    assert np.max(np.abs(L @ L.T - g)) < 2.2e-12
 
 
 def test_extend_validates_before_admitting():
