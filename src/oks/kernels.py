@@ -5,7 +5,10 @@ point sets ``(n, d)`` and on stacked batches of them ``(b, n, d)``, never
 on a single pair.  Each kind's formula is written once, in ``_form``, over
 inner products <x, y> and squared norms |x|^2 and |y|^2:
 :func:`gram_cross`, :func:`gram` and :func:`kernel_diag` differ only in
-which of these they feed it.
+which of these they feed it.  :func:`gram` forms its values over the upper
+tiles only, in strips of ``TILE`` rows, and mirrors them into the lower
+ones: each value is formed once, the matrix is exactly symmetric by
+construction, and its peak is the output plus one strip.
 
 Determinant arithmetic never leaves log domain: :func:`logdet_psd_stack`
 decides singularity by its own diagonal-pivoted factorization, so that a
@@ -41,6 +44,9 @@ __all__ = [
 ]
 
 DEFAULT_PIVOT_TOL = 1e-12
+
+# rows per strip of the upper triangle that gram forms at a time
+TILE = 256
 
 
 class NotPsdError(np.linalg.LinAlgError):
@@ -219,21 +225,37 @@ def gram_cross(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Gram matrix of a point set; symmetric with an exactly evaluated diagonal.
+    """Gram matrix of a point set; exactly symmetric, with an exactly
+    evaluated diagonal.
 
     ``points`` may be empty (order-0 matrix) or carry leading batch axes.
     Raises ``ValueError`` when some k(x, x) is not finite, before the other
     entries are formed.
+
+    After one product of the points with themselves, the kernel values are
+    formed in place over the upper tiles only, one strip of ``TILE`` rows
+    at a time, and each strip is mirrored into the lower tiles and within
+    its diagonal tile.  Each value is formed once, the result is exactly
+    symmetric by construction, whatever the rounding of the product, and
+    the peak is the output plus one strip.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0 and pts.ndim <= 2:
         return np.zeros((0, 0))
     pts, s = _check_points(pts)
     diag = _diag(spec, s)
-    k = _form(spec, pts @ pts.swapaxes(-1, -2), s[..., :, None], s[..., None, :])
-    k += k.swapaxes(-1, -2)  # numpy buffers the overlapping operand: k + k^T
-    k *= 0.5
-    idx = np.arange(pts.shape[-2])
+    k = pts @ pts.swapaxes(-1, -2)
+    n = k.shape[-1]
+    # below the diagonal of a tile, row by row: one of m rows takes the first m(m-1)/2
+    r, c = np.tril_indices(min(n, TILE), -1)
+    for i in range(0, n, TILE):
+        e = min(i + TILE, n)
+        # _form works in place, so this assignment copies nothing
+        k[..., i:e, i:] = _form(spec, k[..., i:e, i:], s[..., i:e, None], s[..., None, i:])
+        k[..., e:, i:e] = k[..., i:e, e:].swapaxes(-1, -2)
+        tile, p = k[..., i:e, i:e], (e - i) * (e - i - 1) // 2
+        tile[..., r[:p], c[:p]] = tile[..., c[:p], r[:p]]
+    idx = np.arange(n)
     k[..., idx, idx] = diag
     return k
 

@@ -106,13 +106,36 @@ _CHECKPOINT_GROWTH = {
                            "--seed", "1", "--checkpoints", "40,10,10"],
 }
 
+# bodies whose Gram spans more than one tile of kernels.gram, run in a fresh
+# process with one BLAS thread: the eigensolver behind spectrum-est rounds its
+# n = 300 spectrum differently on more threads
+_TILED = {
+    "nystrom-600": ["nystrom", "--kernel", "rbf:1.0", "--alpha", "0.01", "--n", "600",
+                    "--seed", "5"],
+    "spectrum-est-300": ["spectrum-est", "--kernel", "rbf:1.0", "--n", "300",
+                         "--sampler", "gauss:2", "--seed", "5"],
+}
+
+
+def _run_on_one_blas_thread(args):
+    src = str(Path(oks.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "oks", *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 # sha256 of each body, recorded before the per-kind kernel formulas were
 # merged into one (growth-checkpoints: before run_stream returned its rows
 # as plain tuples); a body that changes here changed its numbers.  growth,
 # growth-poly, growth-pow and oks-run were recorded again when the in-block
 # walk moved to the Schur complement of the block's candidates, which sums
 # in another order: every n and dict_size cell stayed the same, and log_det
-# moved by at most 7.8e-15 relative
+# moved by at most 7.8e-15 relative.  The _TILED bodies were recorded before
+# kernels.gram formed its values over the upper tiles only
 _BODY_SHA256 = {
     "esp": "0c66ddd67c8fd49dc9293d70898384647e0011a37931a2e0e72f4f41d3b22d73",
     "bound": "c005d2a26220c8888e348aa0f843ebd6c34bbd3fe5db1e546b7469e02d73d115",
@@ -128,14 +151,19 @@ _BODY_SHA256 = {
     "growth-poly": "309deab738d480e14fb16c6ec123009ee45724f182adfa2a993d40cf04f2280b",
     "growth-pow": "dd8c1a40b9b34d7edf6c5343a3a8f8c7827b442af2044bd73b820a44d9d67501",
     "growth-checkpoints": "392e91ce94e41ba54ac4f5ee5c9af9e3270e954a52bd7512d25df63d94f4b9a7",
+    "nystrom-600": "825fd351afdcb5ae9f4c844bf952d7601ebeb25907183e18f492c06d3e8a0b3c",
+    "spectrum-est-300": "ab520493c7653e5dcd67e8c0697673eba994fcc85260f76e8d11143050de4c9a",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BODY_SHA256))
 def test_body_matches_its_recorded_digest(name, inputs, capsys):
-    rc, stdout, _ = _run(capsys,
-                         {**_invocations(inputs), **_KERNEL_GROWTH, **_CHECKPOINT_GROWTH}[name])
-    assert rc == 0
+    if name in _TILED:
+        stdout = _run_on_one_blas_thread(_TILED[name])
+    else:
+        rc, stdout, _ = _run(capsys,
+                             {**_invocations(inputs), **_KERNEL_GROWTH, **_CHECKPOINT_GROWTH}[name])
+        assert rc == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == _BODY_SHA256[name]
 
 
@@ -403,6 +431,19 @@ def test_gram_commands_refuse_a_non_finite_k_xx(args, capsys):
     assert rc == 1
     assert stdout == ""
     assert err.startswith("error: k(x, x) = inf is not finite at row ")
+
+
+def test_running_out_of_memory_prints_an_error_line(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr(cli, "gram", no_memory)
+    rc, stdout, err = _run(capsys, ["spectrum-est", "--kernel", "rbf:1.0", "--n", "10",
+                                    "--sampler", "gauss:1", "--seed", "1"])
+    assert rc == 1
+    assert stdout == ""
+    assert err == ("error: out of memory: "
+                   "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n")
 
 
 def test_growth_infinite_alpha_exits_1_and_writes_nothing(tmp_path, capsys):

@@ -11,6 +11,7 @@ from oks.kernels import (
     DEFAULT_PIVOT_TOL,
     KernelSpec,
     NotPsdError,
+    TILE,
     gram,
     gram_cross,
     kernel_diag,
@@ -133,7 +134,8 @@ def test_gram_batched_matches_loop():
 
 
 def test_rbf_gram_peak_stays_below_two_and_a_half_outputs():
-    # inner products and squared distances are the only n x n temporaries
+    # the output is the only n x n array: the kernel values are formed over
+    # it in place, a strip of TILE rows at a time
     pts = np.random.default_rng(5).standard_normal((2000, 1))
     tracemalloc.start()
     try:
@@ -144,8 +146,31 @@ def test_rbf_gram_peak_stays_below_two_and_a_half_outputs():
     assert peak < 2.5 * g.nbytes
 
 
+_KINDS = {"linear": linear(), "rbf": rbf(1.0), "poly": polynomial(3, 0.5, 1.5),
+          "pow": power(rbf(0.7), 2)}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_gram_peak_stays_below_one_and_a_quarter_outputs(kind):
+    # beside the output, one strip of TILE rows: 256 of 2000 here
+    spec = _KINDS[kind]
+    pts = np.random.default_rng(5).standard_normal((2000, 1))
+    tracemalloc.start()
+    try:
+        g = gram(spec, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * g.nbytes
+
+
+# one tile; two and more, plain and batched; exactly one tile; one row past it
+_SHAPES = [(40, 3), (5, 9, 2), (600, 3), (2, 300, 2), (TILE, 2), (TILE + 1, 2)]
+_SHAPE_IDS = ["plain", "batched", "tiled", "tiled-batched", "one-tile", "one-tile-plus-1"]
+
+
 @pytest.mark.parametrize("bw", [0.3, 1.0])
-@pytest.mark.parametrize("shape", [(40, 3), (5, 9, 2)], ids=["plain", "batched"])
+@pytest.mark.parametrize("shape", _SHAPES, ids=_SHAPE_IDS)
 def test_rbf_matrices_equal_the_out_of_place_formula(shape, bw):
     rng = np.random.default_rng(6)
     xs = rng.standard_normal(shape)
@@ -177,7 +202,7 @@ _PLAIN = {
 
 
 @pytest.mark.parametrize("kind", sorted(_PLAIN))
-@pytest.mark.parametrize("shape", [(40, 3), (5, 9, 2)], ids=["plain", "batched"])
+@pytest.mark.parametrize("shape", _SHAPES, ids=_SHAPE_IDS)
 def test_other_kinds_match_the_out_of_place_formula(shape, kind):
     spec, formula = _PLAIN[kind]
     rng = np.random.default_rng(6)
@@ -195,6 +220,37 @@ def test_other_kinds_match_the_out_of_place_formula(shape, kind):
     k[..., idx, idx] = formula(s, s, s)
     assert np.array_equal(gram(spec, xs), k)
     assert np.array_equal(gram_cross(spec, xs, ys), cross(xs, ys))
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("layout", ["strided", "fortran", "fortran-batched"])
+def test_gram_is_exactly_symmetric_for_any_input_layout(kind, layout):
+    spec = _KINDS[kind]
+    rng = np.random.default_rng(9)
+    pts = {"strided": lambda: rng.standard_normal((2 * TILE + 77, 3))[::2],
+           "fortran": lambda: np.asfortranarray(rng.standard_normal((TILE + 90, 3))),
+           "fortran-batched": lambda: np.asfortranarray(rng.standard_normal((2, TILE + 9, 4)))
+           }[layout]()
+    g = gram(spec, pts)
+    assert np.array_equal(g, g.swapaxes(-1, -2))
+    assert np.array_equal(np.diagonal(g, axis1=-2, axis2=-1), kernel_diag(spec, pts))
+
+
+def test_gram_is_symmetric_even_where_the_formed_values_are_not(monkeypatch):
+    # skew every formed value by its column within the strip, as a product
+    # that rounds <x, y> and <y, x> apart would; the mirror hides it all
+    form = kernels._form
+
+    def skewed(spec, ip, sx, sy):
+        ip += 1e-3 * np.arange(ip.shape[-1])
+        return form(spec, ip, sx, sy)
+
+    pts = np.random.default_rng(4).standard_normal((2, TILE + 40, 3))
+    plain = gram(rbf(1.0), pts)
+    monkeypatch.setattr(kernels, "_form", skewed)
+    g = gram(rbf(1.0), pts)
+    assert np.array_equal(g, g.swapaxes(-1, -2))
+    assert not np.array_equal(g, plain)  # the skew took
 
 
 def test_kernel_diag_exact():
