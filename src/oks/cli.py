@@ -1,9 +1,15 @@
 """Command-line front end: calculators and experiments with reproducible I/O.
 
 Every stochastic subcommand requires an explicit ``--seed``.  Identical
-invocations produce byte-identical CSV bodies; the JSON manifest written next
-to ``--out`` may differ only in wall time, which spans the whole command, from
-argument parsing until the body is written.  Exit codes: 0 success, 1 usage
+invocations with the same BLAS build and BLAS thread count (for OpenBLAS,
+``OPENBLAS_NUM_THREADS``) produce byte-identical CSV bodies; the JSON
+manifest written next to ``--out`` may differ only in wall time, which spans
+the whole command, from argument parsing until the body is written.  On
+another thread count a multi-threaded BLAS sums in another order, so floats
+may move in their last digits: integer and text cells are identical, and
+each float cell agrees within 1e-12 times the largest magnitude in its
+column.  (An integer such as a dictionary size could move only if a
+residual fell within rounding of alpha.)  Exit codes: 0 success, 1 usage
 error (bad flags, malformed config, missing files), 2 validation failure (an
 asserted inequality was violated by the run).
 

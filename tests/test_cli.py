@@ -117,10 +117,10 @@ _TILED = {
 }
 
 
-def _run_on_one_blas_thread(args):
+def _run_on_blas_threads(args, threads=1):
     src = str(Path(oks.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "MKL_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "oks", *args], capture_output=True, text=True,
                           env=env, timeout=300)
@@ -135,7 +135,10 @@ def _run_on_one_blas_thread(args):
 # walk moved to the Schur complement of the block's candidates, which sums
 # in another order: every n and dict_size cell stayed the same, and log_det
 # moved by at most 7.8e-15 relative.  The _TILED bodies were recorded before
-# kernels.gram formed its values over the upper tiles only
+# kernels.gram formed its values over the upper tiles only.  regress was
+# recorded again when fit stacked the ridge triangle on top of the design and
+# factored it by one triangular-pentagonal QR: n and dict_size stayed 40 and
+# 23, and both mse cells went from 0.0001541233553645326 to ...323
 _BODY_SHA256 = {
     "esp": "0c66ddd67c8fd49dc9293d70898384647e0011a37931a2e0e72f4f41d3b22d73",
     "bound": "c005d2a26220c8888e348aa0f843ebd6c34bbd3fe5db1e546b7469e02d73d115",
@@ -144,7 +147,7 @@ _BODY_SHA256 = {
     "kstar-tail": "498de09e0d6b02d9410366f67d00e1dd8c344a67c7cede8b9f21dded3802d433",
     "growth": "be63dbfd7eb443f59f8b6f543252a5be90fbffb533ec61d2ee73697155d508a9",
     "nystrom": "4c45a0c35f7a4fce3d9a0f12e0c01d1e0364c080d7b325d446302bb0a22feac0",
-    "regress": "61ed9c32b059829823cecd34cab0484a39e871cb60f3956a943e5a3ccb69b5de",
+    "regress": "783ade986301a074942df829f6c29bb2445d1541fd61d29724d0ee7927898bdf",
     "spectrum-est": "4b92a9725fb041cac95221ef48763d17e7e7ebec5df1f5e285a1ee90eb8b220f",
     "oks-run": "646968fd2dfef0e30a29e250579f3b9b09e2283ab9e7db307aa6b709d03647ad",
     "growth-linear": "d3716066b2c2552b700820393e5c305c2680dbdeb741d6f2b96041af59c7610c",
@@ -159,12 +162,60 @@ _BODY_SHA256 = {
 @pytest.mark.parametrize("name", sorted(_BODY_SHA256))
 def test_body_matches_its_recorded_digest(name, inputs, capsys):
     if name in _TILED:
-        stdout = _run_on_one_blas_thread(_TILED[name])
+        stdout = _run_on_blas_threads(_TILED[name])
     else:
         rc, stdout, _ = _run(capsys,
                              {**_invocations(inputs), **_KERNEL_GROWTH, **_CHECKPOINT_GROWTH}[name])
         assert rc == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == _BODY_SHA256[name]
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _float_columns(body_a, body_b):
+    # the two bodies' cells side by side: text and integer cells must be equal,
+    # float cells are returned as two arrays per column
+    rows_a, rows_b = body_a.splitlines(), body_b.splitlines()
+    assert len(rows_a) == len(rows_b)
+    columns = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        assert len(cells_a) == len(cells_b)
+        for j, (a, b) in enumerate(zip(cells_a, cells_b)):
+            if isinstance(_cell(a), float):
+                columns.setdefault(j, []).append((float(a), float(b)))
+            else:
+                assert a == b
+    return {j: np.array(pairs).T for j, pairs in columns.items()}
+
+
+@pytest.mark.parametrize("command", ["regress", "spectrum-est"])
+def test_body_across_blas_thread_counts_keeps_the_stated_contract(command, tmp_path):
+    # the cli docstring's contract: integer cells equal, float cells within
+    # 1e-12 of their column's largest magnitude.  The regress rows are large
+    # enough for OpenBLAS to split its products over two threads; the spread
+    # measured at most 5e-15 relative there, and 3e-16 of the largest
+    # eigenvalue on spectrum-est
+    if command == "regress":
+        rng = np.random.default_rng(1)
+        x = 1.05 * rng.standard_normal((1200, 10))
+        y = np.sin(x[:, 0]) + 0.5 * x[:, 1] * x[:, 2] + 0.1 * rng.standard_normal(1200)
+        write_labeled_csv(str(tmp_path / "train.csv"), x[:1000], y[:1000])
+        write_labeled_csv(str(tmp_path / "test.csv"), x[1000:], y[1000:])
+        args = ["regress", "--kernel", "rbf:1.5", "--alpha", "0.3", "--ridge", "1e-3",
+                "--data", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv")]
+    else:
+        args = _TILED["spectrum-est-300"]
+    one, two = (_run_on_blas_threads(args, threads) for threads in (1, 2))
+    for a, b in _float_columns(one, two).values():
+        assert np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(a)))
 
 
 @pytest.mark.parametrize("command", ["mc-gram", "kstar-tail"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oks.kernels import linear, rbf
+from oks import regress
 from oks.regress import features, fit, read_labeled_csv, write_labeled_csv
 from oks.sparsifier import Dictionary, run_stream
 from oracles import eval_kernel
@@ -84,20 +85,58 @@ def test_rank_deficient_without_ridge_raises():
     fit(d, xs, np.array([1.0, 1.0, 1.0]), ridge=0.1)  # resolvable by ridge
 
 
+def _check_fit_against_lstsq(d, xs, ys, ridge):
+    # fit's weights against lstsq on [psi; sqrt(ridge) * I] and [ys; 0];
+    # returns the augmented design's condition number
+    psi = features(d, xs)
+    m = len(d)
+    design = np.vstack([psi, np.sqrt(ridge) * np.eye(m)]) if ridge else psi
+    target = np.concatenate([ys, np.zeros(m)]) if ridge else ys
+    expected, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
+    assert rank == m
+    weights = fit(d, xs, ys, ridge=ridge).weights
+    assert np.linalg.norm(weights - expected) <= 1e-10 * np.linalg.norm(expected)
+    return sv[0] / sv[-1]
+
+
 @pytest.mark.parametrize("ridge", [0.0, 1e-3, 1.0])
 def test_fit_matches_lstsq_on_augmented_design(ridge):
     rng = np.random.default_rng(12)
     xs = rng.standard_normal((150, 2))
     ys = np.sin(xs[:, 0]) + 0.1 * rng.standard_normal(150)
     d, _ = run_stream(rbf(1.0), 0.3, xs)
-    psi = features(d, xs)
-    m = len(d)
-    design = np.vstack([psi, np.sqrt(ridge) * np.eye(m)]) if ridge else psi
-    target = np.concatenate([ys, np.zeros(m)]) if ridge else ys
-    expected, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    assert rank == m
-    weights = fit(d, xs, ys, ridge=ridge).weights
-    assert np.linalg.norm(weights - expected) <= 1e-10 * np.linalg.norm(expected)
+    _check_fit_against_lstsq(d, xs, ys, ridge)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3, 1.0])
+def test_fit_matches_lstsq_past_the_qr_block_size(ridge):
+    # m = 279 members span five blocks of regress.NB columns; the 1e-10 bound
+    # holds with a margin while the condition number stays below 1e5 (about
+    # 5e3 at ridge = 0)
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((300, 5))
+    ys = np.sin(xs[:, 0]) + 0.1 * rng.standard_normal(300)
+    d, _ = run_stream(rbf(1.0), 0.05, xs)
+    assert len(d) > 4 * regress.NB
+    assert _check_fit_against_lstsq(d, xs, ys, ridge) < 1e5
+
+
+@pytest.mark.parametrize("ridge", [1e-3, 1.0])
+def test_fit_with_fewer_points_than_weights_matches_lstsq(ridge):
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((200, 5))
+    ys = np.sin(xs[:, 0]) + 0.1 * rng.standard_normal(200)
+    d, _ = run_stream(rbf(1.0), 0.05, xs)
+    assert len(d) > 2 * 60
+    _check_fit_against_lstsq(d, xs[:60], ys[:60], ridge)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_refuses_non_finite_labels(bad):
+    d = full_dictionary(linear(), np.eye(2), alpha=0.5)
+    ys = np.array([1.0, bad, 0.5])
+    with pytest.raises(ValueError, match="labels must be finite"):
+        fit(d, np.ones((3, 2)), ys, ridge=1e-3)
 
 
 def test_fewer_points_than_weights_without_ridge_raises():
