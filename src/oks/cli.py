@@ -3,7 +3,8 @@
 Every stochastic subcommand requires an explicit ``--seed``.  Identical
 invocations with the same BLAS build and BLAS thread count (for OpenBLAS,
 ``OPENBLAS_NUM_THREADS``) produce byte-identical CSV bodies; the JSON
-manifest written next to ``--out`` may differ only in wall time, which spans
+manifest written next to ``--out``, which records the thread variables and
+the CPU count under ``threads``, may differ only in wall time, which spans
 the whole command, from argument parsing until the body is written.  On
 another thread count a multi-threaded BLAS sums in another order, so floats
 may move in their last digits: integer and text cells are identical, and

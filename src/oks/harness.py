@@ -507,6 +507,11 @@ def write_manifest(
         "input_hash": content_hash(params, input_paths),
         "wall_time_s": wall_time_s,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        # a multi-threaded BLAS may change the last digits of float cells
+        "threads": {
+            **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count(),
+        },
     }
     _write_json(path, payload)
 

@@ -35,6 +35,16 @@ for the panels, where r is the number of factor rows a candidate survives
 (|D| for the hot ones), plus O(|D| h^2) for S and O(h t) per admission,
 where t <= B counts the block's admissions so far; a point-at-a-time solve
 costs O(|D|^2) for every offered point.
+
+L is stored by the same panels, as one slab per panel: slab p is a
+``PANEL`` x (p+1)*``PANEL`` array holding factor rows p*PANEL ..
+(p+1)*PANEL - 1, that is L_p,<p and L_pp, the two blocks panel p of the
+substitution reads.  The members are stored beside it, one ``PANEL`` x d
+array per panel.  An admission writes one row into the last slab and starts
+a new slab only when the last one is full, so growth never copies.  P slabs
+hold PANEL^2 P(P+1)/2 doubles: the triangle, the upper halves of the
+diagonal blocks and the unfilled rows of the last slab, under the triangle
+plus one and a half slabs.
 """
 
 from __future__ import annotations
@@ -81,6 +91,11 @@ class Admission(NamedTuple):
 class Dictionary:
     """Ordered admitted points plus the triangular factor of their Gram matrix.
 
+    Both are stored by panels of ``PANEL`` rows, the factor as slabs under
+    the triangle plus one and a half slabs in all (see the module
+    docstring); growth never copies, and ``factor`` and ``members``
+    assemble copies.
+
     Single-writer: :meth:`extend` and :meth:`offer` require exclusive access;
     residual queries and property reads are safe between mutations.
     """
@@ -93,8 +108,9 @@ class Dictionary:
         self.log_det: LogValue = 0.0  # order-0 Gram has determinant 1
         self._n = 0
         self._dim: int | None = None
-        self._pts: np.ndarray | None = None
-        self._fac: np.ndarray | None = None
+        # per panel p: slab p = [L_p,<p  L_pp] and the panel's members
+        self._slabs: list[np.ndarray] = []
+        self._panels: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return self._n
@@ -104,14 +120,18 @@ class Dictionary:
         """Admitted points, in admission order, as an (n, d) array (copy)."""
         if self._n == 0:
             return np.zeros((0, self._dim or 0))
-        return self._pts[: self._n].copy()
+        return np.concatenate(self._panels)[: self._n]
 
     @property
     def factor(self) -> np.ndarray:
         """Lower-triangular L with gram(kernel, members) == L @ L.T (copy)."""
-        if self._n == 0:
-            return np.zeros((0, 0))
-        return np.tril(self._fac[: self._n, : self._n])
+        n = self._n
+        fac = np.zeros((n, n))
+        for p, slab in enumerate(self._slabs):
+            s = p * PANEL
+            e = min(s + PANEL, n)
+            fac[s:e, :e] = slab[: e - s, :e]  # a slab holds zeros above its diagonal
+        return fac
 
     def residual(self, x) -> float:
         """Squared distance of x's feature image to the span of the dictionary.
@@ -236,28 +256,33 @@ class Dictionary:
             return delta, floor, live, np.zeros((live.size, 0))
         # the first panel sees every candidate, so it needs no gather
         e = min(PANEL, n)
-        g = gram_cross(self.kernel, xb, self._pts[:e])
-        w = solve_triangular(self._fac[:e, :e], g.T, lower=True, check_finite=False)
+        g = gram_cross(self.kernel, xb, self._panels[0][:e])
+        w = solve_triangular(self._slabs[0][:e, :e], g.T, lower=True, check_finite=False)
         delta -= np.einsum("ij,ij->j", w, w)
-        for s in range(e, n, PANEL):
+        for p in range(1, len(self._slabs)):
             keep = delta[live] > stop
             if not keep.all():
                 live, w = live[keep], w[:, keep]
                 if not live.size:
                     return delta, floor, live, np.zeros((0, n))
-            e = min(s + PANEL, n)
-            g = gram_cross(self.kernel, xb[live], self._pts[s:e]).T - self._fac[s:e, :s] @ w
-            wp = solve_triangular(self._fac[s:e, s:e], g, lower=True, check_finite=False)
+            s, r = p * PANEL, min(PANEL, n - p * PANEL)  # first row and row count of panel p
+            slab = self._slabs[p]
+            g = gram_cross(self.kernel, xb[live], self._panels[p][:r]).T - slab[:r, :s] @ w
+            wp = solve_triangular(slab[:r, s : s + r], g, lower=True, check_finite=False)
             delta[live] -= np.einsum("ij,ij->j", wp, wp)
             w = np.concatenate((w, wp))
         return delta, floor, live, w.T
 
     def _append(self, x: np.ndarray, row: np.ndarray, root: float, delta: float) -> None:
         n = self._n
-        self._ensure_capacity(n + 1, x.shape[0])
-        self._fac[n, :n] = row
-        self._fac[n, n] = root
-        self._pts[n] = x
+        p, i = divmod(n, PANEL)
+        if i == 0:  # the last slab is full, or there is none yet
+            self._slabs.append(np.zeros((PANEL, n + PANEL)))
+            self._panels.append(np.zeros((PANEL, x.shape[0])))
+        slab = self._slabs[p]
+        slab[i, :n] = row
+        slab[i, n] = root
+        self._panels[p][i] = x
         self._n = n + 1
         self.log_det += math.log(delta)
 
@@ -269,22 +294,6 @@ class Dictionary:
         if self._dim is not None and pts.shape[1] != self._dim:
             raise ValueError(f"dimension mismatch: points have {pts.shape[1]}, the dictionary has {self._dim}")
         return pts, kernel_diag(self.kernel, pts)  # refuses non-finite coordinates and k(x, x)
-
-    def _ensure_capacity(self, n: int, dim: int) -> None:
-        if self._pts is None:
-            cap = 8
-            self._pts = np.zeros((cap, dim))
-            self._fac = np.zeros((cap, cap))
-            return
-        cap = self._pts.shape[0]
-        if n <= cap:
-            return
-        new_cap = max(2 * cap, n)
-        pts = np.zeros((new_cap, self._pts.shape[1]))
-        fac = np.zeros((new_cap, new_cap))
-        pts[:cap] = self._pts
-        fac[:cap, :cap] = self._fac
-        self._pts, self._fac = pts, fac
 
 
 def _one_point(x) -> np.ndarray:

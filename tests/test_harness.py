@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -544,11 +545,21 @@ def test_write_csv_round_trippable():
     assert lines[2] == "-inf,plain"
 
 
-def test_manifest_contents(tmp_path):
+def test_manifest_contents(tmp_path, monkeypatch):
     path = str(tmp_path / "run.manifest.json")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
     write_manifest(path, "mc-gram", {"k": 2, "trials": 1000}, seed=7, wall_time_s=0.5)
     payload = json.loads(open(path).read())
     assert payload["subcommand"] == "mc-gram"
     assert payload["seed"] == 7
     assert payload["params"]["k"] == 2
     assert payload["input_hash"] == content_hash({"k": 2, "trials": 1000})
+    # an unset variable reads null
+    assert payload["threads"] == {
+        "OPENBLAS_NUM_THREADS": "3",
+        "OMP_NUM_THREADS": None,
+        "MKL_NUM_THREADS": "1",
+        "cpu_count": os.cpu_count(),
+    }

@@ -2,6 +2,7 @@ import functools
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,10 +313,10 @@ def test_extend_rejects_in_block_duplicate_with_residual_zero():
 def test_extend_failure_semantics():
     d = Dictionary(rbf(1.0), 0.5)
     d.offer([0.0])
-    d._fac[0, 0] = 1.0 - 1e-14  # residual of [0] becomes about -2e-14: rounding noise
+    d._slabs[0][0, 0] = 1.0 - 1e-14  # L[0, 0]; residual of [0] becomes about -2e-14: rounding noise
     assert d.residual([0.0]) == 0.0
     assert d.extend([[0.0]]).tolist() == [0.0]
-    d._fac[0, 0] = 0.5  # residual of [0] becomes about -3: a fault
+    d._slabs[0][0, 0] = 0.5  # residual of [0] becomes about -3: a fault
     with pytest.raises(NumericalConsistencyError):
         d.residual([0.0])
     with pytest.raises(NumericalConsistencyError):
@@ -327,7 +328,7 @@ def test_extend_failure_semantics():
 def test_a_nan_residual_is_a_fault_not_a_rejection():
     d = Dictionary(rbf(1.0), 0.5)
     d.offer([0.0])
-    d._fac[0, 0] = np.nan
+    d._slabs[0][0, 0] = np.nan  # L[0, 0]
     with pytest.raises(NumericalConsistencyError, match="projection residual nan"):
         d.extend([[0.0]])
     with pytest.raises(NumericalConsistencyError):
@@ -448,7 +449,7 @@ def test_a_fault_in_a_later_panel_raises_after_the_rows_before_it(last):
     # halving L[m, m] doubles the last coordinate of member m's duplicate, so
     # its residual becomes -3 L[m, m]**2; against the first panel alone it
     # is above alpha, so its substitution reaches the corrupted row
-    d._fac[m, m] *= 0.5
+    d._slabs[m // PANEL][m % PANEL, m] *= 0.5  # L[m, m]
     far = np.full(5, 50.0)
     with pytest.raises(NumericalConsistencyError):
         d.extend([far, dup, -far])
@@ -467,6 +468,61 @@ def test_a_long_stream_keeps_its_factor_and_log_det_against_dense():
     # entries of G are at most 1: ten times |D| * eps
     L = d.factor
     assert np.max(np.abs(L @ L.T - g)) < 1e-12
+    # slab p is PANEL x (p+1)*PANEL: the triangle, the upper halves of the
+    # diagonal blocks (under half the last slab) and the unfilled rows of
+    # the last slab (under one slab)
+    n, panels = len(d), len(d._slabs)
+    assert panels == -(-n // PANEL)
+    held = sum(slab.size for slab in d._slabs)
+    assert held == sum(PANEL * (p + 1) * PANEL for p in range(panels))
+    assert held < n * (n + 1) / 2 + 1.5 * d._slabs[-1].size
+
+
+def test_a_stream_peaks_below_its_slab_bound_plus_one_block():
+    # the long stream above, |D| = 1174 over 10 slabs.  The run holds the
+    # slabs, under the triangle plus one and a half slabs (see above), and
+    # per block its candidates' coordinates against the factor, at most
+    # BLOCK x |D|; a square factor that doubles holds 2048^2 doubles, 32 MiB,
+    # to reach 1174 rows
+    pts = Sampler.gaussian_input(5, 1.0, 1).points(4000)
+    tracemalloc.start()
+    try:
+        d, _ = run_stream(rbf(1.0), 0.1, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(d)
+    assert n == 1174
+    assert peak < 8 * (n * (n + 1) / 2 + 1.5 * d._slabs[-1].size + BLOCK * n)
+
+
+def test_growth_never_copies_a_slab():
+    kernel, alpha, pts = _pruning_case()
+    d = Dictionary(kernel, alpha)
+    d.extend(pts[:10])
+    slab, panel = d._slabs[0], d._panels[0]
+    d.extend(pts[10:])
+    assert len(d) > 3 * PANEL
+    assert d._slabs[0] is slab and d._panels[0] is panel
+
+
+def test_a_standard_basis_across_panels_is_exact():
+    # linear kernel: every residual is exactly 1, so the factor is I
+    m = 2 * PANEL + 3
+    basis = np.eye(m)
+    d = Dictionary(linear(), 0.5)
+    assert d.extend(basis).tolist() == [1.0] * m
+    assert np.array_equal(d.factor, np.eye(m))
+    assert d.log_det == 0.0
+    assert np.array_equal(d.members, basis)
+    probes = basis[[0, PANEL - 1, PANEL, 2 * PANEL, m - 1]]
+    assert [d.residual(x) for x in probes] == [0.0] * len(probes)
+    # the readers return copies
+    d.factor[:] = 7.0
+    d.members[:] = 3.0
+    assert [d.residual(x) for x in probes] == [0.0] * len(probes)
+    assert d.residual(2 * np.ones(m)) == 0.0  # 4m - |2 * ones|^2, in integers
+    assert np.array_equal(d.factor, np.eye(m)) and np.array_equal(d.members, basis)
 
 
 def test_an_admission_heavy_stream_keeps_its_factor_and_log_det_against_dense():
