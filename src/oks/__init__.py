@@ -13,7 +13,6 @@ from .harness import (
     McEstimate,
     NystromComparison,
     Sampler,
-    growth_experiment,
     load_dictionary,
     mc_det_moment,
     mc_kstar_tail,
@@ -71,7 +70,6 @@ __all__ = [
     "esp_brute",
     "gram",
     "gram_cross",
-    "growth_experiment",
     "growth_prediction",
     "is_log_zero",
     "kernel_diag",

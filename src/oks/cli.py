@@ -10,9 +10,12 @@ another thread count a multi-threaded BLAS sums in another order, so floats
 may move in their last digits: integer and text cells are identical, and
 each float cell agrees within 1e-12 times the largest magnitude in its
 column.  (An integer such as a dictionary size could move only if a
-residual fell within rounding of alpha.)  Exit codes: 0 success, 1 usage
-error (bad flags, malformed config, missing files), 2 validation failure (an
-asserted inequality was violated by the run).
+residual fell within rounding of alpha.)  The row that ``growth`` or
+``oks-run`` writes at n does not depend on the other ``--checkpoints`` or on
+``--trace-every``: they only pick which rows of one stream are written.
+Exit codes: 0 success, 1 usage error (bad flags, malformed config, missing
+files), 2 validation failure (an asserted inequality was violated by the
+run).
 
 Every numeric CSV read (``--data``, ``--test``, ``data:``) or snapshotted
 (``oks-run --out``) is one table format: rows of comma-separated finite
@@ -43,7 +46,6 @@ from .harness import (
     dataset_rows,
     mc_det_moment,
     mc_kstar_tail,
-    growth_experiment,
     nystrom_compare,
     save_dictionary,
     write_csv,
@@ -315,17 +317,25 @@ def _mc_command(summary: str, estimator: Callable, echoed: list[Opt], stat: str 
 
 
 def _parse_checkpoints(text: str | None, n: int) -> list[int]:
-    if text:
-        return [int(v) for v in text.split(",")]
-    return sorted({max(1, n >> s) for s in range(5)})
+    if not text:
+        return sorted({max(1, n >> s) for s in range(5)})
+    try:
+        marks = sorted({int(v) for v in text.split(",")})
+    except ValueError as exc:
+        raise CliError(f"--checkpoints: {exc}") from None
+    if not 1 <= marks[0] <= marks[-1] <= n:
+        raise CliError(f"--checkpoints must lie in [1, --n] = [1, {n}]")
+    return marks
 
 
 def _cmd_growth(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
     sampler = _parse_sampler(eff["sampler"], eff["seed"])
-    rows = growth_experiment(
-        sampler, kernel, eff["alpha"], eff["n"], _parse_checkpoints(eff.get("checkpoints"), eff["n"])
-    )
+    n = eff["n"]
+    if not 1 <= n <= 100_000:
+        raise CliError("--n must lie in [1, 100000]")
+    marks = _parse_checkpoints(eff.get("checkpoints"), n)
+    _, rows = run_stream(kernel, eff["alpha"], sampler.points(n), marks)
     emit(_csv(_TRACE_HEADER, rows))
 
 
@@ -465,7 +475,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
         Opt("kernel", required=True),
         Opt("alpha", float, required=True),
         Opt("data", required=True, help="CSV table of point coordinates, one row per sample"),
-        Opt("trace_every", int, default=0),
+        Opt("trace_every", int, default=0, help="also write a row every this many samples"),
     ]),
 }
 

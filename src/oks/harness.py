@@ -40,7 +40,6 @@ __all__ = [
     "NystromComparison",
     "mc_det_moment",
     "mc_kstar_tail",
-    "growth_experiment",
     "nystrom_compare",
     "power_iteration_norm",
     "read_table",
@@ -238,22 +237,6 @@ def _subset_indices(n: int, j: int) -> np.ndarray:
     idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
     idx.setflags(write=False)
     return idx
-
-
-def growth_experiment(
-    sampler: Sampler,
-    kernel: KernelSpec,
-    alpha: float,
-    n_max: int,
-    checkpoints: Iterable[int],
-) -> list[tuple[int, int, LogValue]]:
-    """Stream n_max sampled points through a dictionary; return one row
-    ``(n, |D|, log det G_D)`` after the first n points, for each distinct
-    checkpoint n and for n_max, in increasing n."""
-    if not 1 <= n_max <= 100_000:
-        raise ValueError("n_max must lie in [1, 100000]")
-    marks = sorted({int(c) for c in checkpoints})
-    return run_stream(kernel, alpha, sampler.points(n_max), marks)[1]
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ plus one and a half slabs.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -161,19 +162,21 @@ class Dictionary:
         result equals that of offering the rows one at a time (a residual
         within rounding of ``alpha`` may be decided differently, since the
         panel sums and the in-block Schur complement round differently from a
-        one-point solve).  An admitted row reports its full residual.  A
-        rejected row may report its partial residual against the leading
-        members, where its forward substitution stopped, or its residual
-        against the dictionary as it stood before its block of ``BLOCK``
-        rows: either is an upper bound on its full residual, and at most
-        ``alpha``.  Residuals in the rounding window
-        ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)`` report 0; a residual below
-        it raises :class:`NumericalConsistencyError` before any later row is
-        admitted.  Cost: O(|D| r) per row for the substitution, where r is
-        the number of factor rows the row survives; per block with h > 1
-        rows still above ``alpha`` after it, one h x h Gram and one GEMM,
-        plus O(h t) per admission, where t <= ``BLOCK`` counts the block's
-        admissions so far.
+        one-point solve).  Blocks of ``BLOCK`` rows start at multiples of
+        ``BLOCK`` from the first row of ``points``.  A row is admitted exactly
+        when its reported residual exceeds ``alpha``: an admitted row reports
+        its full residual, the one ``log_det`` adds the log of.  A rejected row
+        may report its partial residual against the leading members, where
+        its forward substitution stopped, or its residual against the
+        dictionary as it stood before its block: either is an upper bound on
+        its full residual, and at most ``alpha``.  Residuals in the rounding
+        window ``[-RESIDUAL_CLAMP * max(1, k(x, x)), 0)`` report 0; a residual
+        below it raises :class:`NumericalConsistencyError` before any later
+        row is admitted.  Cost: O(|D| r) per row for the substitution, where
+        r is the number of factor rows the row survives; per block with
+        h > 1 rows still above ``alpha`` after it, one h x h Gram and one
+        GEMM, plus O(h t) per admission, where t <= ``BLOCK`` counts the
+        block's admissions so far.
         Raises ``ValueError`` before admitting any row when some row has a
         non-finite coordinate or a non-finite k(x, x).
         """
@@ -322,7 +325,9 @@ def run_stream(
     offered, for each n in ``marks`` and for n at the end of the stream.
 
     ``marks`` must increase strictly, from at least 1 up to at most the
-    number of points; a mark at the end is recorded once.
+    number of points; a mark at the end is recorded once.  The stream goes
+    to one :meth:`Dictionary.extend`, whose blocks start at multiples of
+    ``BLOCK`` whatever the marks, and the rows are read off its residuals.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -333,10 +338,8 @@ def run_stream(
     if ends[0] < 1 or any(b <= a for a, b in zip(ends, ends[1:])):
         raise ValueError("marks must increase strictly from 1 or more to at most the stream length")
     d = Dictionary(kernel, alpha)
-    rows = []
-    seen = 0
-    for mark in ends:
-        d.extend(pts[seen:mark])
-        seen = mark
-        rows.append((mark, len(d), d.log_det))
-    return d, rows
+    res = d.extend(pts)
+    at = np.flatnonzero(res > d.alpha)  # the admitted rows, in stream order
+    # log det after k admissions, by the left fold log_det takes (sum() compensates from 3.12)
+    log_dets = list(accumulate(map(math.log, res[at].tolist()), initial=0.0))
+    return d, [(n, k, log_dets[k]) for n, k in zip(ends, np.searchsorted(at, ends).tolist())]

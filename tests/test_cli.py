@@ -138,22 +138,28 @@ def _run_on_blas_threads(args, threads=1):
 # kernels.gram formed its values over the upper tiles only.  regress was
 # recorded again when fit stacked the ridge triangle on top of the design and
 # factored it by one triangular-pentagonal QR: n and dict_size stayed 40 and
-# 23, and both mse cells went from 0.0001541233553645326 to ...323
+# 23, and both mse cells went from 0.0001541233553645326 to ...323.  The
+# bodies with marks (growth, growth-checkpoints, growth-pow, oks-run) were
+# recorded again when run_stream stopped cutting the ALD blocks at its marks:
+# every n and dict_size cell stayed the same, and log_det moved by at most
+# 1.6e-15 relative (growth be63dbfd… → 525b43c2…, growth-checkpoints
+# 392e91ce… → 64fb567f…, growth-pow dd8c1a40… → d1e84fb7…, oks-run
+# 646968fd… → 1ced17cd…)
 _BODY_SHA256 = {
     "esp": "0c66ddd67c8fd49dc9293d70898384647e0011a37931a2e0e72f4f41d3b22d73",
     "bound": "c005d2a26220c8888e348aa0f843ebd6c34bbd3fe5db1e546b7469e02d73d115",
     "mc-gram": "510661712870272b79822374d852f05a4163edbbc3fb79bcc9f44abaaf384023",
     "mc-moment": "004baa333aa031cb62a41943cb9e2fcf23cec9377fd236ae0901ff5503050509",
     "kstar-tail": "498de09e0d6b02d9410366f67d00e1dd8c344a67c7cede8b9f21dded3802d433",
-    "growth": "be63dbfd7eb443f59f8b6f543252a5be90fbffb533ec61d2ee73697155d508a9",
+    "growth": "525b43c28c42c9db370a5450cb4d20fdbe9c43a464a5f77119d2bc2f9c208d3b",
     "nystrom": "4c45a0c35f7a4fce3d9a0f12e0c01d1e0364c080d7b325d446302bb0a22feac0",
     "regress": "783ade986301a074942df829f6c29bb2445d1541fd61d29724d0ee7927898bdf",
     "spectrum-est": "4b92a9725fb041cac95221ef48763d17e7e7ebec5df1f5e285a1ee90eb8b220f",
-    "oks-run": "646968fd2dfef0e30a29e250579f3b9b09e2283ab9e7db307aa6b709d03647ad",
+    "oks-run": "1ced17cd27c2c4cf6402a0aff109ebaee13c36080571d567315ea85f3f7e7512",
     "growth-linear": "d3716066b2c2552b700820393e5c305c2680dbdeb741d6f2b96041af59c7610c",
     "growth-poly": "309deab738d480e14fb16c6ec123009ee45724f182adfa2a993d40cf04f2280b",
-    "growth-pow": "dd8c1a40b9b34d7edf6c5343a3a8f8c7827b442af2044bd73b820a44d9d67501",
-    "growth-checkpoints": "392e91ce94e41ba54ac4f5ee5c9af9e3270e954a52bd7512d25df63d94f4b9a7",
+    "growth-pow": "d1e84fb7ef35ffb235e96c4d3ee9e810c694cbd26bf9386863a8400b1caf833d",
+    "growth-checkpoints": "64fb567fb271ac433d8e22ed600c5ece51fd952cd3aa615c0671ed449b2557fc",
     "nystrom-600": "825fd351afdcb5ae9f4c844bf952d7601ebeb25907183e18f492c06d3e8a0b3c",
     "spectrum-est-300": "ab520493c7653e5dcd67e8c0697673eba994fcc85260f76e8d11143050de4c9a",
 }
@@ -418,6 +424,23 @@ def test_oks_run_negative_trace_every_exits_1(inputs, capsys):
     assert rc == 1
     assert stdout == ""
     assert "usage error: --trace-every must be >= 0" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "50", "--checkpoints", ",10"],
+     "--checkpoints: invalid literal for int() with base 10: ''"),
+    (["--n", "50", "--checkpoints", "60"], "--checkpoints must lie in [1, --n] = [1, 50]"),
+    (["--n", "50", "--checkpoints", "0,10"], "--checkpoints must lie in [1, --n] = [1, 50]"),
+    (["--n", "0"], "--n must lie in [1, 100000]"),
+    (["--n", "200000", "--checkpoints", "10"], "--n must lie in [1, 100000]"),
+], ids=["checkpoints-empty-entry", "checkpoints-beyond-n", "checkpoints-zero", "n-zero",
+        "n-above-cap"])
+def test_growth_flag_errors_are_usage_errors(flags, message, capsys):
+    rc, stdout, err = _run(capsys, ["growth", "--kernel", "rbf:1.0", "--alpha", "0.1",
+                                    "--seed", "1", *flags])
+    assert rc == 1
+    assert stdout == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_bound_beyond_a_declared_tail_exits_1(tmp_path, capsys):

@@ -15,7 +15,6 @@ from oks.harness import (
     Sampler,
     content_hash,
     format_cell,
-    growth_experiment,
     mc_det_moment,
     mc_kstar_tail,
     nystrom_compare,
@@ -365,27 +364,27 @@ def test_mc_estimates_keep_their_bits_when_some_trials_fail_cholesky(tmp_path, m
     assert mc_det_moment(s, rbf(1.0), 3, 1, 1000) == default
 
 
-# --- growth experiment -----------------------------------------------------------
+# --- growth over sampled streams -------------------------------------------------
+# (oks growth streams sampler.points(n) through run_stream itself; its flag
+# checks are CLI tests)
 
 def test_growth_constant_stream_is_flat(tmp_path):
     path = str(tmp_path / "const.csv")
     with open(path, "w") as fh:
         fh.writelines("1.0,2.0\n" for _ in range(50))
-    rows = growth_experiment(Sampler.dataset(path), rbf(1.0), 0.01, 50, [10, 25])
+    _, rows = run_stream(rbf(1.0), 0.01, Sampler.dataset(path).points(50), [10, 25])
     assert [(n, size) for n, size, _ in rows] == [(10, 1), (25, 1), (50, 1)]
 
 
 def test_growth_rank_cap_linear_kernel():
-    rows = growth_experiment(Sampler.gaussian_input(3, 1.0, 3), linear(), 1e-6, 400, [100])
+    _, rows = run_stream(linear(), 1e-6, Sampler.gaussian_input(3, 1.0, 3).points(400), [100])
     assert rows[-1][1] <= 3
 
 
 def test_growth_checkpoint_validation():
-    s = Sampler.gaussian_input(1, 1.0, 3)
+    pts = Sampler.gaussian_input(1, 1.0, 3).points(10)
     with pytest.raises(ValueError):
-        growth_experiment(s, rbf(1.0), 0.1, 10, [20])
-    with pytest.raises(ValueError):
-        growth_experiment(s, rbf(1.0), 0.1, 200_000, [10])
+        run_stream(rbf(1.0), 0.1, pts, [20])
 
 
 # --- nystrom comparison ------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oks import sparsifier
+from oks.cli import _parse_checkpoints
 from oks.harness import Sampler, load_dictionary, save_dictionary
 from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
 from oks.logvalue import is_log_zero
@@ -35,6 +36,16 @@ def dense_residual(kernel, members, x):
     g = gram_cross(kernel, x[None, :], np.asarray(members))[0]
     gd = gram(kernel, np.asarray(members))
     return eval_kernel(kernel, x, x) - float(g @ np.linalg.solve(gd, g))
+
+
+def log_det_fold(residuals):
+    """The log-determinant as Dictionary accumulates it: log(r) added in order,
+    one ``+=`` at a time.  sum() would not do: from Python 3.12 it compensates
+    its additions, so it need not equal the sequential sum in the last bits."""
+    total = 0.0
+    for r in residuals:
+        total += math.log(r)
+    return total
 
 
 # --- construction ------------------------------------------------------------
@@ -170,6 +181,58 @@ def test_stream_matches_dense_reference_run():
     assert np.array_equal(d.members, np.array(members))
 
 
+# one stream loop: the marks pick rows of one extend, they do not cut its blocks.
+# Both streams span several blocks; the reject-heavy one is the benchmark's
+# large stream leg
+_MARKED_STREAMS = {
+    "admission-heavy": (0.3, 10, 1000),
+    "reject-heavy": (0.1, 5, 4000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MARKED_STREAMS))
+def test_marks_leave_the_dictionary_bit_identical(case, monkeypatch):
+    alpha, dim, n = _MARKED_STREAMS[case]
+    pts = Sampler.gaussian_input(dim, 1.0, 1).points(n)
+    calls = []
+    extend = Dictionary.extend
+
+    def counted(self, points):
+        calls.append(len(points))
+        return extend(self, points)
+
+    monkeypatch.setattr(Dictionary, "extend", counted)
+    ladders = {
+        "none": (),
+        "every point": range(1, n + 1),
+        "every 10th": range(10, n, 10),
+        "default ladder": _parse_checkpoints(None, n),  # oks growth's
+    }
+    runs = {}
+    for name, marks in ladders.items():
+        calls.clear()
+        d, rows = run_stream(rbf(1.0), alpha, pts, marks)
+        assert calls == [n]  # one extend over the whole stream
+        assert rows[-1] == (n, len(d), d.log_det)
+        runs[name] = d, {row[0]: row for row in rows}
+    assert n // BLOCK >= 3 and len(runs["none"][0]) > 3 * PANEL // 2
+    ref, every = runs["every point"]
+    for d, rows in runs.values():
+        assert np.array_equal(d.factor, ref.factor)
+        assert np.array_equal(d.members, ref.members)
+        assert d.log_det == ref.log_det
+        assert all(rows[m] == every[m] for m in rows)
+    # every row against the factor: |D| after n points and the log det of its
+    # leading |D| x |D| block, 2 log diag(L) summed in another order (the
+    # first residuals are within 1e-11 of 1, so their logs carry an
+    # absolute error)
+    sizes = np.array([every[m][1] for m in range(1, n + 1)])
+    assert sizes[0] == 1 and np.all(np.diff(sizes) >= 0) and sizes[-1] == len(ref)
+    leading = np.concatenate(([0.0], np.cumsum(2 * np.log(np.diag(ref.factor)))))
+    assert np.allclose([every[m][2] for m in range(1, n + 1)], leading[sizes],
+                       rtol=1e-12, atol=1e-13)
+
+
 # --- numerical agreement with dense projections --------------------------------
 
 def test_residual_exactness_randomized_streams():
@@ -254,7 +317,7 @@ def test_extend_equals_sequential_dense_replay(seed, n, dim, alpha):
     assert np.allclose(L @ L.T, gram(kernel, d.members), rtol=0, atol=1e-10)
     admitted = res > alpha
     assert admitted.sum() == len(d)
-    assert d.log_det == sum(math.log(r) for r in res[admitted])
+    assert d.log_det == log_det_fold(res[admitted])
 
 
 @pytest.mark.parametrize("seed, n, dim, alpha", EXTEND_CASES)
@@ -363,7 +426,7 @@ def test_an_admission_heavy_block_matches_a_point_at_a_time_replay():
     L = d.factor
     assert np.allclose(L @ L.T, g, rtol=0, atol=1e-10)
     assert np.allclose(L, ref.factor, rtol=0, atol=1e-10)
-    assert d.log_det == sum(math.log(r) for r in res[admitted])
+    assert d.log_det == log_det_fold(res[admitted])
     block = (np.arange(len(pts)) // BLOCK)[admitted]
     coupled = (block[:, None] == block[None, :]) & ~np.eye(len(d), dtype=bool)
     assert g[coupled].max() > 0.3
@@ -425,7 +488,7 @@ def test_pruned_extend_matches_a_point_at_a_time_full_solve():
     assert np.mean(rejected > full_rejected + 1e-9) > 0.5
     L = d.factor
     assert np.allclose(L @ L.T, gram(kernel, d.members), rtol=0, atol=1e-10)
-    assert d.log_det == sum(math.log(r) for r in res[admitted])
+    assert d.log_det == log_det_fold(res[admitted])
 
 
 def test_residual_on_a_multi_panel_dictionary_matches_a_dense_solve():
