@@ -8,9 +8,6 @@ monotonicity checks and vacuous-regime detection need.
 from __future__ import annotations
 
 import math
-from typing import Iterator
-
-import numpy as np
 
 from .logvalue import LogValue, is_log_zero, log_binomial
 from .spectrum import synthetic_spectrum
@@ -79,11 +76,13 @@ def growth_prediction(kind: str, param: float, n: int, alpha: float, delta: floa
     """Smallest k whose sample threshold exceeds n under the given decay law.
 
     The threshold at each k is :func:`sample_threshold` on the matching
-    synthetic spectrum truncated at max(4k, 64) terms.  One pass of
-    :func:`nu_rows` over the prefixes of the decay law reads them all: row
-    max(4k, 64) holds log nu(k) over exactly that truncation, computed by the
-    same elementwise recursion, so it equals the per-k value bit for bit.
-    k is scanned upward from 1 as the pass reaches each k's row.
+    synthetic spectrum truncated at max(4k, 64) terms.  k is scanned upward
+    from 1 over windows of W = 256, 512, ... values: one :func:`nu_rows`
+    pass over the W-term spectrum with ``k_max = W // 4``, the largest k
+    whose truncation fits in the window, costs at most W * W/4 work.  Row
+    max(4k, 64) of a pass holds log nu(k) over exactly that truncation, bit
+    for bit the per-k value: synthetic values are elementwise in the index,
+    and entry k of a row depends only on columns <= k, never on ``k_max``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -93,24 +92,14 @@ def growth_prediction(kind: str, param: float, n: int, alpha: float, delta: floa
         raise ValueError("alpha must be positive and finite")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    k = 1
-    for size, row in enumerate(nu_rows(_decay_values(kind, param))):
-        while max(4 * k, 64) == size:
-            if _threshold_from_log_nu(k, alpha, delta, float(row[k])) > n:
-                return k
-            k += 1
-        if k > _SCAN_LIMIT:
-            raise RuntimeError("growth prediction scan did not terminate")
-
-
-def _decay_values(kind: str, param: float) -> Iterator[np.ndarray]:
-    """The values lam_1, lam_2, ... of a synthetic decay law, in doubling chunks.
-
-    Each chunk is the new tail of a longer :func:`synthetic_spectrum`, whose
-    values are elementwise in the index, so earlier values never change.
-    """
-    done, size = 0, 256
+    k, width = 1, 256
     while True:
-        yield synthetic_spectrum(kind, param, size).values[done:]
-        done, size = size, 2 * size
-
+        values = synthetic_spectrum(kind, param, width).values
+        for size, row in enumerate(nu_rows(values, width // 4)):
+            while max(4 * k, 64) == size:
+                if _threshold_from_log_nu(k, alpha, delta, float(row[k])) > n:
+                    return k
+                k += 1
+            if k > _SCAN_LIMIT:
+                raise RuntimeError("growth prediction scan did not terminate")
+        width *= 2

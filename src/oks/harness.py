@@ -29,9 +29,10 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 import numpy as np
 from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as the sparsifier's
 
-from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack
+# gram_cross is unused here; bench/selftest.py checks the tracer wraps this binding
+from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack  # noqa: F401
 from .logvalue import LogValue
-from .sparsifier import Dictionary, run_stream
+from .sparsifier import Dictionary
 from .symfun import Spectrum
 
 __all__ = [
@@ -319,16 +320,17 @@ def nystrom_compare(
     if not 1 <= n <= 3000:
         raise ValueError("n must lie in [1, 3000] (dense n x n work)")
     pts = sampler.points(n)
-    d, _ = run_stream(kernel, alpha, pts)
+    d = Dictionary(kernel, alpha)
+    at = np.flatnonzero(d.extend(pts) > d.alpha)  # the members' rows, in admission order
     (rng,) = _streams(sampler.seed, [_SUBSET_LANE])
     picked = rng.choice(n, size=len(d), replace=False)
-    sub = pts[np.sort(picked)]
+    sub = np.sort(picked)
     g = gram(kernel, pts)
-    f_oks = linalg.solve_triangular(d.factor, gram_cross(kernel, d.members, pts), lower=True)
-    k_ss = gram(kernel, sub)
+    f_oks = linalg.solve_triangular(d.factor, g[at], lower=True)
+    k_ss = g[np.ix_(sub, sub)]
     w, vecs = np.linalg.eigh(k_ss)
     keep = w > 1e-12 * w.max(initial=0.0)
-    f_nys = (vecs[:, keep] / np.sqrt(w[keep])).T @ gram_cross(kernel, sub, pts)
+    f_nys = (vecs[:, keep] / np.sqrt(w[keep])).T @ g[sub]
     (e_oks, s_oks), (e_nys, s_nys) = (_LowRankError(g, f).norms() for f in (f_oks, f_nys))
     return NystromComparison(
         oks_size=len(d), log_det_oks=d.log_det, log_det_nystrom=log_det_psd(k_ss),

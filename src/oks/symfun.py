@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 
@@ -100,39 +100,29 @@ class Spectrum:
         return cls(np.array(vals, dtype=float), tail)
 
 
-def nu_rows(chunks: Iterable[np.ndarray], k_max: int | None = None) -> Iterator[np.ndarray]:
-    """Yield the rows log nu(n, .) for n = 0, 1, 2, ... over eigenvalues fed in chunks.
+def nu_rows(values: np.ndarray, k_max: int) -> Iterator[np.ndarray]:
+    """Yield the rows log nu(n, 0..k_max) for n = 0, 1, ..., len(values).
 
     One rolling row is advanced in place by the two-term log-sum
     nu(n, k) = nu(n-1, k) + k * lam_n * nu(n-1, k-1), so n values cost
-    O(n * min(n, k_max)) work and one row of memory.  Entry k of a yielded
-    row is log nu(n, k) for every k it holds: column 0 is log 1 = 0 and
-    columns beyond n are the zero state.  With ``k_max`` the row holds
-    columns 0..k_max; without it, at least 0..n (it grows as values arrive).
-    The row is overwritten by the next step, so copy it to keep it.  Each
-    entry is computed elementwise, so it depends neither on ``k_max`` nor on
-    how the values are split into chunks.
+    O(n * min(n, k_max)) work and one row of k_max + 1 entries.  Entry k of
+    a yielded row is log nu(n, k): column 0 is log 1 = 0 and columns beyond
+    n are the zero state.  The row is overwritten by the next step, so copy
+    it to keep it.  Each entry is computed elementwise from columns <= k, so
+    it does not depend on ``k_max``.
     """
-    if k_max is not None and k_max < 0:
+    if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    cap = 0 if k_max is None else k_max
-    row = np.full(cap + 1, LOG_ZERO)
+    row = np.full(k_max + 1, LOG_ZERO)
     row[0] = 0.0
-    logk = np.log(np.arange(1, cap + 1, dtype=float))
+    logk = np.log(np.arange(1, k_max + 1, dtype=float))
     yield row
-    n = 0
-    for chunk in chunks:
-        with np.errstate(divide="ignore"):
-            loglam = np.log(np.asarray(chunk, dtype=float))
-        for loglam_n in loglam:
-            n += 1
-            m = n if k_max is None else min(n, k_max)
-            if m > cap:
-                cap = 2 * m
-                row = np.concatenate([row, np.full(cap + 1 - row.size, LOG_ZERO)])
-                logk = np.log(np.arange(1, cap + 1, dtype=float))
-            row[1 : m + 1] = np.logaddexp(row[1 : m + 1], logk[:m] + loglam_n + row[:m])
-            yield row
+    with np.errstate(divide="ignore"):
+        loglam = np.log(np.asarray(values, dtype=float))
+    for n, loglam_n in enumerate(loglam, 1):
+        m = min(n, k_max)
+        row[1 : m + 1] = np.logaddexp(row[1 : m + 1], logk[:m] + loglam_n + row[:m])
+        yield row
 
 
 def log_nu_row(spec: Spectrum, k_max: int) -> np.ndarray:
@@ -140,7 +130,7 @@ def log_nu_row(spec: Spectrum, k_max: int) -> np.ndarray:
 
     Entries beyond the spectrum length are the zero state.
     """
-    for row in nu_rows([spec.values], k_max):
+    for row in nu_rows(spec.values, k_max):
         pass
     return row
 

@@ -146,7 +146,9 @@ def _plain_threshold_scan(kind, param, n, alpha, delta):
 
 
 # answers in the first window (k <= 64) and in the second, third and fourth
-# (65..128, 129..256, 257..512); k = 14 would be 13 on a 4k-term truncation
+# (65..128, 129..256, 257..512); k = 14 would be 13 on a 4k-term truncation;
+# the polynomial p = 1 answers 64 / 65, 128 / 129 and 256 / 257 sit where a
+# window ends and the next begins
 @pytest.mark.parametrize(
     "kind, param, n, alpha, delta, expected",
     [
@@ -156,6 +158,12 @@ def _plain_threshold_scan(kind, param, n, alpha, delta):
         ("polynomial", 2.0, 10**4, 0.5, 0.1, 87),
         ("geometric", 1.1, 10**4, 0.5, 0.1, 209),
         ("polynomial", 0.5, 200, 0.5, 0.1, 283),
+        ("polynomial", 1.0, 128, 0.5, 0.1, 64),
+        ("polynomial", 1.0, 132, 0.5, 0.1, 65),
+        ("polynomial", 1.0, 510, 0.5, 0.1, 128),
+        ("polynomial", 1.0, 518, 0.5, 0.1, 129),
+        ("polynomial", 1.0, 2031, 0.5, 0.1, 256),
+        ("polynomial", 1.0, 2047, 0.5, 0.1, 257),
     ],
 )
 def test_growth_prediction_is_smallest_k_over_per_k_truncations(kind, param, n, alpha, delta, expected):
@@ -164,8 +172,8 @@ def test_growth_prediction_is_smallest_k_over_per_k_truncations(kind, param, n, 
 
 
 def test_growth_prediction_memory_is_one_row():
-    # one rolling row over the prefixes; holding a table of rows here
-    # would take tens of MiB
+    # one rolling row per window (k_max = W // 4 columns) over one W-term
+    # spectrum; holding a table of rows here would take tens of MiB
     tracemalloc.start()
     try:
         assert growth_prediction("polynomial", 1.0, 10_000, 0.5, 0.1) == 569

@@ -69,7 +69,7 @@ def test_esp_table_example():
 
 
 def test_esp_table_k0_column():
-    rows = [row[0] for row in nu_rows([spectrum(2.0, 1.0, 0.5).values], 3)]
+    rows = [row[0] for row in nu_rows(spectrum(2.0, 1.0, 0.5).values, 3)]
     assert rows == [0.0] * 4
 
 
@@ -99,9 +99,22 @@ def test_esp_table_monotone_in_n():
     for _ in range(25):
         n = int(rng.integers(1, 10))
         vals = np.sort(rng.uniform(0, 3, n))[::-1]
-        lv = np.array([row.copy() for row in nu_rows([vals], n)])
+        lv = np.array([row.copy() for row in nu_rows(vals, n)])
         assert lv.shape == (n + 1, n + 1)
         assert np.all(lv[1:] >= lv[:-1] - 1e-12)
+
+
+def test_nu_rows_entries_do_not_depend_on_k_max():
+    # growth_prediction's windows read row max(4k, 64) at k_max = W // 4 and
+    # rely on it equalling the row a wider k_max gives, bit for bit
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n = int(rng.integers(1, 40))
+        vals = np.sort(rng.uniform(0, 3, n) ** int(rng.integers(1, 6)))[::-1]
+        k = int(rng.integers(0, n + 2))
+        k2 = k + int(rng.integers(1, 2 * n + 2))
+        for narrow, wide in zip(nu_rows(vals, k), nu_rows(vals, k2)):
+            assert np.array_equal(narrow, wide[: k + 1])
 
 
 # --- esp_brute ---------------------------------------------------------------
@@ -142,7 +155,7 @@ def test_dp_matches_enumeration(values, k):
     s = Spectrum(vals)
     assert close_log(log_nu_row(s, k)[k], esp_brute(s, k))
     # every prefix row holds nu over exactly the first n values
-    for n, row in enumerate(nu_rows([vals], k)):
+    for n, row in enumerate(nu_rows(vals, k)):
         assert close_log(row[k], esp_brute(Spectrum(vals[:n]), k))
 
 
