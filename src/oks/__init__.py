@@ -42,7 +42,6 @@ from .sparsifier import (
 from .spectrum import empirical_spectrum, synthetic_spectrum
 from .symfun import (
     Spectrum,
-    esp_brute,
     log_nu,
     log_nu_row,
     nu_geometric,
@@ -67,7 +66,6 @@ __all__ = [
     "Spectrum",
     "dict_tail_bound",
     "empirical_spectrum",
-    "esp_brute",
     "gram",
     "gram_cross",
     "growth_prediction",

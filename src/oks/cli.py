@@ -55,7 +55,7 @@ from .kernels import KernelSpec, gram
 from .regress import fit, read_labeled_csv
 from .sparsifier import run_stream
 from .spectrum import empirical_spectrum, synthetic_spectrum
-from .symfun import Spectrum, esp_brute, log_nu_row
+from .symfun import Spectrum, log_nu_row
 
 __all__ = ["main", "CliError", "ValidationFailure"]
 
@@ -97,15 +97,6 @@ _CONTROL = [
 ]
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "1", "yes"):
-        return True
-    if t in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _load_config(path: str) -> dict:
     overrides = {}
     try:
@@ -134,12 +125,12 @@ def _effective(ns: argparse.Namespace, opts: Sequence[Opt]) -> dict:
         if o.dest in config:
             raw = config[o.dest]
             try:
-                eff[o.dest] = _parse_bool(raw) if o.is_flag else o.typ(raw)
+                eff[o.dest] = o.typ(raw)
             except ValueError as exc:
                 raise CliError(f"config key {o.dest!r}: {exc}") from None
         else:
             given = getattr(ns, o.dest)
-            eff[o.dest] = o.default if given is None and not o.is_flag else given
+            eff[o.dest] = o.default if given is None else given
         if o.required and eff[o.dest] is None:
             raise CliError(f"missing required option {o.flag}")
     return eff
@@ -150,9 +141,7 @@ def _dump(eff: dict, opts: Sequence[Opt]) -> None:
         value = eff.get(o.dest)
         if value is None:
             continue
-        if o.is_flag:
-            text = "true" if value else "false"
-        elif isinstance(value, float):
+        if isinstance(value, float):
             text = repr(value)
         else:
             text = str(value)
@@ -261,16 +250,7 @@ def _cmd_esp(eff: dict, emit: Emit) -> None:
     if k < 0:
         raise CliError("--k must be >= 0")
     spec = _load_spectrum(eff, k)
-    log_nus = log_nu_row(spec, k).tolist()
-    if eff["brute"]:
-        if spec.size > 22:
-            raise CliError("--brute needs a spectrum of length <= 22")
-        rows = [(j, log_nus[j], esp_brute(spec, j)) for j in range(k + 1)]
-        header = ["k", "log_nu", "log_nu_brute"]
-    else:
-        rows = [(j, log_nus[j]) for j in range(k + 1)]
-        header = ["k", "log_nu"]
-    emit(_csv(header, rows))
+    emit(_csv(["k", "log_nu"], enumerate(log_nu_row(spec, k).tolist())))
 
 
 def _cmd_bound(eff: dict, emit: Emit) -> None:
@@ -387,6 +367,8 @@ def _cmd_regress(eff: dict, emit: Emit) -> None:
 
 def _cmd_spectrum_est(eff: dict, emit: Emit) -> None:
     kernel = _parse_kernel(eff["kernel"])
+    if eff["n"] < 1:
+        raise CliError("--n must be >= 1")
     pts = _parse_sampler(eff["sampler"], eff["seed"]).points(eff["n"])
     body = io.StringIO()
     empirical_spectrum(gram(kernel, pts)).to_csv(body)
@@ -415,11 +397,9 @@ def _cmd_oks_run(eff: dict, emit: Emit) -> None:
 _TRUNC_HELP = "a synthetic spectrum keeps max(4k, trunc) values"
 
 _COMMANDS: dict[str, tuple[str, Callable[[dict, Emit], None], list[Opt]]] = {
-    "esp": ("tabulate log nu(k) for a spectrum (optionally cross-checked by enumeration)",
-            _cmd_esp, [
+    "esp": ("tabulate log nu(k) for a spectrum", _cmd_esp, [
         Opt("spectrum", required=True, help="csv path | geometric:s | polynomial:p | explicit:v1,v2,..."),
         Opt("k", int, required=True),
-        Opt("brute", is_flag=True, help="add the subset-enumeration column (length <= 22)"),
         Opt("trunc", int, default=64, help=_TRUNC_HELP),
     ]),
     "bound": ("dictionary-size tail bound and certified-sample-count threshold", _cmd_bound, [

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import IO, Iterator, Union
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "nu_rows",
     "log_nu_row",
     "log_nu",
-    "esp_brute",
     "tail_sum",
     "nu_geometric",
 ]
@@ -138,27 +136,6 @@ def log_nu_row(spec: Spectrum, k_max: int) -> np.ndarray:
 def log_nu(spec: Spectrum, k: int) -> LogValue:
     """log nu(k) over the retained values of ``spec`` (tail excluded)."""
     return float(log_nu_row(spec, k)[k]) if k <= spec.size else LOG_ZERO
-
-
-def esp_brute(spec: Spectrum, k: int) -> LogValue:
-    """Subset-enumeration oracle for log nu(k); independent of the recursion.
-
-    Limited to spectra of length <= 22.
-    """
-    n_len = spec.size
-    if n_len > 22:
-        raise ValueError("brute-force enumeration limited to spectra of length <= 22")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k > n_len:
-        return LOG_ZERO
-    # imported here: at module level it would add tens of ms to ``import oks``
-    from scipy.special import logsumexp
-
-    with np.errstate(divide="ignore"):
-        logs = np.log(spec.values)
-    terms = [logs[list(c)].sum() for c in combinations(range(n_len), k)]
-    return float(log_factorial(k) + logsumexp(terms))
 
 
 def tail_sum(spec: Spectrum, k: int) -> float:

@@ -4,17 +4,23 @@
 the rbf distance taken as x - y, independently of the inner-product form
 that every Gram matrix of the library is computed by.  The others recompute
 their answer from dense Gram matrices, independently of the incremental
-factor that :class:`oks.Dictionary` maintains.
+factor that :class:`oks.Dictionary` maintains.  :func:`esp_brute` sums
+log nu(k) over every k-subset of a spectrum, independently of the row
+recursion of :func:`oks.symfun.nu_rows`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
+from scipy.special import logsumexp
 
 from oks.harness import _some_subset_passes
 from oks.kernels import KernelSpec, gram, log_det_psd
+from oks.logvalue import LOG_ZERO, log_factorial
+from oks.symfun import Spectrum
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -94,3 +100,21 @@ def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
         if _some_subset_passes(g, j, log_alpha):
             return j
     return 0
+
+
+def esp_brute(spec: Spectrum, k: int) -> float:
+    """log nu(k) = log(k! * e_k) by summing over every k-subset of the values.
+
+    Limited to spectra of length <= 22.
+    """
+    n_len = spec.size
+    if n_len > 22:
+        raise ValueError("brute-force enumeration limited to spectra of length <= 22")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k > n_len:
+        return LOG_ZERO
+    with np.errstate(divide="ignore"):
+        logs = np.log(spec.values)
+    terms = [logs[list(c)].sum() for c in combinations(range(n_len), k)]
+    return float(log_factorial(k) + logsumexp(terms))

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from oks.bounds import dict_tail_bound, growth_prediction, sample_threshold
+from oks.harness import Sampler
+from oks.kernels import linear
 from oks.logvalue import is_log_zero, log_binomial
+from oks.sparsifier import run_stream
 from oks.spectrum import synthetic_spectrum
 from oks.symfun import Spectrum, log_nu, log_nu_row, tail_sum
 
@@ -181,6 +184,22 @@ def test_growth_prediction_memory_is_one_row():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.05])
+def test_growth_prediction_bounds_the_observed_size_on_a_polynomial_spectrum(alpha):
+    # the linear kernel on diag_gaussian samples a process whose covariance
+    # spectrum is exactly the 1024-term truncation of the law, so its nu(k)
+    # is at most the law's and the law's prediction stays an upper bound
+    # (P[|D_n| > k] < delta).  The slack is wide: predicted 89 and 179 at
+    # n = 250 and 1000 against 8-10 observed at alpha = 0.5, 284 and 569
+    # against 59-67 at alpha = 0.05, i.e. 4.4-20x
+    values = synthetic_spectrum("polynomial", 1.0, 1024).values
+    for seed in (1, 2, 3):
+        points = Sampler.diag_gaussian(Spectrum(values), seed).points(1000)
+        _, rows = run_stream(linear(), alpha, points, [250, 1000])
+        for n, size, _ in rows:
+            assert size <= growth_prediction("polynomial", 1.0, n, alpha, 0.1), (seed, n)
 
 
 def test_growth_prediction_validation():

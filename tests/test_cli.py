@@ -34,7 +34,7 @@ def inputs(tmp_path):
 
 def _invocations(inputs):
     return {
-        "esp": ["esp", "--spectrum", "polynomial:0.5", "--k", "5", "--brute", "--trunc", "16"],
+        "esp": ["esp", "--spectrum", "polynomial:0.5", "--k", "5", "--trunc", "16"],
         "bound": ["bound", "--n", "1000", "--k", "20", "--alpha", "0.5",
                   "--spectrum", "polynomial:1", "--delta", "0.1"],
         "mc-gram": ["mc-gram", "--kernel", "rbf:1.0", "--sampler", "gauss:2", "--k", "2",
@@ -144,9 +144,12 @@ def _run_on_blas_threads(args, threads=1):
 # every n and dict_size cell stayed the same, and log_det moved by at most
 # 1.6e-15 relative (growth be63dbfd… → 525b43c2…, growth-checkpoints
 # 392e91ce… → 64fb567f…, growth-pow dd8c1a40… → d1e84fb7…, oks-run
-# 646968fd… → 1ced17cd…)
+# 646968fd… → 1ced17cd…).  esp was recorded again without its
+# subset-enumeration column when that option was removed (0c66ddd6… →
+# 7410c9bf…): the new body is the old one without its third column, and the
+# same arguments without that option wrote these bytes before.
 _BODY_SHA256 = {
-    "esp": "0c66ddd67c8fd49dc9293d70898384647e0011a37931a2e0e72f4f41d3b22d73",
+    "esp": "7410c9bfa3d7c82d4f8e36dcb7a199a87cd686631ba3a99366f34ac6b0fc2825",
     "bound": "c005d2a26220c8888e348aa0f843ebd6c34bbd3fe5db1e546b7469e02d73d115",
     "mc-gram": "510661712870272b79822374d852f05a4163edbbc3fb79bcc9f44abaaf384023",
     "mc-moment": "004baa333aa031cb62a41943cb9e2fcf23cec9377fd236ae0901ff5503050509",
@@ -443,6 +446,17 @@ def test_growth_flag_errors_are_usage_errors(flags, message, capsys):
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_spectrum_est_n_below_1_is_a_usage_error(n, tmp_path, capsys):
+    out = tmp_path / "spectrum.csv"
+    rc, stdout, err = _run(capsys, ["spectrum-est", "--kernel", "rbf:1.0", "--n", n,
+                                    "--sampler", "gauss:1", "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert stdout == ""
+    assert err == "usage error: --n must be >= 1\n"
+    assert not out.exists()
+
+
 def test_bound_beyond_a_declared_tail_exits_1(tmp_path, capsys):
     spectrum = tmp_path / "tailed.csv"
     spectrum.write_text("# tail=0.5\n0.4\n0.3\n")
@@ -569,11 +583,9 @@ _GROWTH_10 = ["growth", "--kernel", "rbf:1.0", "--alpha", "0.1", "--n", "10"]
     ([*_GROWTH_10, "--sampler", "bogus:2", "--seed", "1"],
      "cannot parse sampler 'bogus:2' (expected diag:..., gauss:..., data:...)"),
     (["esp", "--spectrum", "geometric:2", "--k", "-1"], "--k must be >= 0"),
-    (["esp", "--spectrum", "explicit:" + ",".join(["0.5"] * 23), "--k", "2", "--brute"],
-     "--brute needs a spectrum of length <= 22"),
     (["bound", "--n", "10", "--k", "3", "--alpha", "0.5", "--spectrum", "/nonexistent.csv"],
      "cannot load spectrum '/nonexistent.csv': "),
-], ids=["no-seed", "bogus-sampler", "esp-negative-k", "brute-23-values", "missing-spectrum"])
+], ids=["no-seed", "bogus-sampler", "esp-negative-k", "missing-spectrum"])
 def test_usage_error_exits_1_with_its_message(args, message, capsys):
     rc, stdout, err = _run(capsys, args)
     assert rc == 1
@@ -584,8 +596,7 @@ def test_usage_error_exits_1_with_its_message(args, message, capsys):
 @pytest.mark.parametrize("line, message", [
     ("k 3", "{config}:2: expected key=value, got 'k 3'"),
     ("k=three", "config key 'k': invalid literal for int() with base 10: 'three'"),
-    ("brute=maybe", "config key 'brute': expected a boolean, got 'maybe'"),
-], ids=["no-equals", "bad-int", "bad-bool"])
+], ids=["no-equals", "bad-int"])
 def test_malformed_config_line_exits_1(line, message, tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text(f"spectrum=geometric:2\n{line}\n")
@@ -595,21 +606,11 @@ def test_malformed_config_line_exits_1(line, message, tmp_path, capsys):
     assert err == f"usage error: {message.format(config=config)}\n"
 
 
-def test_config_flag_set_to_no_overrides_the_command_line(tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_text("brute=no\n")
-    args = ["esp", "--spectrum", "explicit:0.5,0.25", "--k", "2"]
-    rc, stdout, _ = _run(capsys, [*args, "--brute", "--config", str(config)])
-    assert rc == 0
-    assert stdout.startswith("k,log_nu\n")
-    assert stdout == _run(capsys, args)[1]
-
-
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     # --config and --dump-config say how a run is configured; they are not settings
     config = tmp_path / "run.conf"
     for line, key in [("nonsense=1", "nonsense"), ("dump-config=true", "dump_config"),
-                      ("config=/nonexistent", "config")]:
+                      ("config=/nonexistent", "config"), ("brute=true", "brute")]:
         config.write_text(f"spectrum=geometric:2\nk=3\n{line}\n")
         rc, stdout, err = _run(capsys, ["esp", "--config", str(config)])
         assert rc == 1

@@ -25,7 +25,7 @@ from oks.harness import (
 from oks.kernels import gram, gram_cross, linear, polynomial, power, rbf
 from oks.regress import read_labeled_csv
 from oks.sparsifier import run_stream
-from oks.symfun import Spectrum
+from oks.symfun import Spectrum, log_nu_row
 from oracles import check_alpha_compatible, kstar_oracle
 
 
@@ -232,6 +232,26 @@ def test_mc_gram_det_trace_case():
 def test_mc_gram_det_pair_case():
     est = mc_det_moment(diag_sampler([1.0, 0.5], 7), linear(), 2, 1, 20000)
     assert abs(est.mean - 1.0) <= 3 * est.std_error
+
+
+def rbf_gauss_spectrum(ell, size):
+    # rbf:ell on N(0, 1) input (Rasmussen & Williams, GPML, section 4.3.1):
+    # lam_i = sqrt(2a/A) * B^i, i >= 0; the values sum to k(x, x) = 1
+    a, b = 0.25, 1.0 / (2.0 * ell**2)
+    big_a = a + b + math.sqrt(a * a + 2.0 * a * b)
+    return math.sqrt(2.0 * a / big_a) * (b / big_a) ** np.arange(size)
+
+
+@pytest.mark.parametrize("ell", [1.0, 0.5])
+def test_mc_gram_det_is_nu_on_the_closed_form_rbf_spectrum(ell):
+    # the paper's identity E[det G_k] = nu(k) on an infinite-rank kernel: 400
+    # terms leave a tail below the rounding of their sum (one ulp at ell = 1)
+    lam = rbf_gauss_spectrum(ell, 400)
+    assert abs(lam.sum() - 1.0) <= np.finfo(float).eps
+    nu = np.exp(log_nu_row(Spectrum(lam), 5))
+    for k in range(2, 6):
+        est = mc_det_moment(Sampler.gaussian_input(1, 1.0, 1), rbf(ell), k, 1, 20_000)
+        assert abs(est.mean - nu[k]) < 4 * est.std_error, (k, est.mean, nu[k])
 
 
 def test_mc_gram_det_rank_deficient_is_exact_zero():

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from oks.logvalue import is_log_zero, log_binomial
 from oks.symfun import (
     Spectrum,
-    esp_brute,
     log_nu,
     log_nu_row,
     nu_geometric,
     nu_rows,
     tail_sum,
 )
+from oracles import esp_brute
 
 
 def spectrum(*values, tail=0.0):
@@ -52,6 +52,14 @@ def test_spectrum_csv_round_trip(tmp_path):
         back = Spectrum.from_csv(path)
         assert np.array_equal(back.values, spec.values)
         assert back.declared_tail == spec.declared_tail
+
+
+def test_spectrum_csv_refuses_an_unrecognized_header(tmp_path):
+    path = tmp_path / "spec.csv"
+    path.write_text("# foo=1\n0.5\n")
+    with pytest.raises(ValueError) as excinfo:
+        Spectrum.from_csv(str(path))
+    assert str(excinfo.value) == "unrecognized spectrum header '# foo=1'"
 
 
 def test_spectrum_csv_header_line():
