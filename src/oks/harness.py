@@ -27,7 +27,6 @@ from itertools import combinations
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as the sparsifier's
 
 # gram_cross is unused here; bench/selftest.py checks the tracer wraps this binding
 from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack  # noqa: F401
@@ -317,6 +316,8 @@ def nystrom_compare(
 ) -> NystromComparison:
     """Build the streaming dictionary on n points, draw a random subset of the
     same size, and compare both projection approximations of the full Gram."""
+    from scipy import linalg
+
     if not 1 <= n <= 3000:
         raise ValueError("n must lie in [1, 3000] (dense n x n work)")
     pts = sampler.points(n)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg  # bench/tracer.py counts a bare solve_triangular as the sparsifier's
 
 from .harness import read_table, write_csv
 from .kernels import gram_cross
@@ -89,6 +88,8 @@ def fit(dictionary: Dictionary, xs, ys, ridge: float = 0.0) -> RegressionModel:
     ``np.linalg.lstsq``: of the singular values of R[:m, :m], the design's
     own, those at most eps * max(n, m) times the largest count as zero.
     """
+    from scipy import linalg
+
     if len(dictionary) < 1:
         raise ValueError("dictionary must be nonempty")
     if not 0 <= ridge < np.inf:

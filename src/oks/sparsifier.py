@@ -49,12 +49,12 @@ plus one and a half slabs.
 
 from __future__ import annotations
 
+import logging
 import math
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import KernelSpec, gram_cross, kernel_diag
 from .logvalue import LogValue
@@ -71,6 +71,10 @@ __all__ = [
 # kernels whose diagonal is far from 1)
 RESIDUAL_CLAMP = 1e-12
 
+# alpha at most this many times the rounding window is at the float64 floor:
+# residuals near it carry only a few correct digits, so Dictionary.extend warns
+FLOOR_FACTOR = 100
+
 # candidates per block of Dictionary.extend: they share one panelled forward
 # substitution against the factor
 BLOCK = 256
@@ -78,6 +82,16 @@ BLOCK = 256
 # factor rows per panel of that substitution; candidates whose partial
 # residual has reached alpha are dropped between panels
 PANEL = 128
+
+log = logging.getLogger(__name__)
+
+
+def solve_triangular(a, b, **kwargs):
+    """``scipy.linalg.solve_triangular``, imported on the first call: most
+    commands never stream, and scipy would double their start-up time."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(a, b, **kwargs)
 
 
 class NumericalConsistencyError(np.linalg.LinAlgError):
@@ -112,6 +126,7 @@ class Dictionary:
         # per panel p: slab p = [L_p,<p  L_pp] and the panel's members
         self._slabs: list[np.ndarray] = []
         self._panels: list[np.ndarray] = []
+        self._floor_warned = False
 
     def __len__(self) -> int:
         return self._n
@@ -178,9 +193,16 @@ class Dictionary:
         GEMM, plus O(h t) per admission, where t <= ``BLOCK`` counts the
         block's admissions so far.
         Raises ``ValueError`` before admitting any row when some row has a
-        non-finite coordinate or a non-finite k(x, x).
+        non-finite coordinate or a non-finite k(x, x).  Logs one warning per
+        dictionary when ``alpha`` is at most ``FLOOR_FACTOR`` times the
+        rounding window of the largest k(x, x) offered.
         """
         pts, diag = self._checked(points)
+        floor = FLOOR_FACTOR * RESIDUAL_CLAMP * max(1.0, diag.max(initial=0.0))
+        if self.alpha <= floor and not self._floor_warned:
+            self._floor_warned = True
+            log.warning("alpha = %g is at the float64 floor (<= %g): residuals near it carry "
+                        "only a few correct digits", self.alpha, floor)
         self._dim = pts.shape[1]  # kept even when every row is rejected
         out = np.empty(pts.shape[0])
         for s in range(0, pts.shape[0], BLOCK):

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -811,15 +812,62 @@ def test_every_exported_name_resolves():
 
 # --- start-up cost ---------------------------------------------------------------
 
-def test_cli_import_does_not_load_scipy_sparse():
-    # every command pays for `import oks.cli`; scipy.sparse or scipy.special
-    # alone would add tens of milliseconds to it
+def _python(code, *args):
     src = str(Path(oks.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, oks.cli; print('scipy.sparse' in sys.modules, 'scipy.special' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=env, check=True, timeout=120)
-    assert done.stdout.strip() == "False False"
+
+
+def test_cli_import_does_not_load_scipy():
+    # every command pays for `import oks.cli`; scipy.linalg alone would more
+    # than double it
+    code = "import sys, oks, oks.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert _python(code).stdout.strip() == "[]"
+
+
+def test_only_the_commands_that_solve_load_scipy():
+    # the numpy-only commands never load scipy; growth's triangular solves
+    # load it on first use, so the import moved rather than vanished
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from oks.cli import main
+        def run(args):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(args) == 0, args
+        for args in json.loads(sys.argv[1]):
+            run(args)
+        print([m for m in sys.modules if m.startswith("scipy")])
+        run(json.loads(sys.argv[2]))
+        print("scipy.linalg" in sys.modules)
+    """)
+    numpy_only = [
+        ["esp", "--spectrum", "polynomial:0.5", "--k", "5", "--trunc", "16"],
+        ["bound", "--n", "1000", "--k", "20", "--alpha", "0.5", "--spectrum", "polynomial:1",
+         "--delta", "0.1"],
+        ["mc-gram", "--kernel", "rbf:1.0", "--sampler", "gauss:2", "--k", "2", "--trials", "1000",
+         "--seed", "3"],
+        ["mc-moment", "--kernel", "rbf:1.0", "--sampler", "gauss:2", "--k", "2", "--m", "2",
+         "--trials", "1000", "--seed", "3"],
+        ["kstar-tail", "--kernel", "rbf:1.0", "--sampler", "gauss:2", "--alpha", "0.9", "--n", "5",
+         "--k", "3", "--trials", "1000", "--seed", "3"],
+        ["spectrum-est", "--kernel", "rbf:1.0", "--n", "30", "--sampler", "gauss:2", "--seed", "3"],
+    ]
+    growth = ["growth", "--kernel", "rbf:1.0", "--alpha", "0.05", "--n", "300",
+              "--sampler", "gauss:2", "--seed", "4"]
+    done = _python(code, json.dumps(numpy_only), json.dumps(growth))
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def test_a_stream_at_the_alpha_floor_warns_on_stderr_and_keeps_its_body(capsys):
+    args = ["growth", "--kernel", "rbf:1.0", "--alpha", "1e-12", "--n", "40",
+            "--sampler", "gauss:1:1.0", "--seed", "21"]
+    code = "import sys; from oks.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = _python(code, *args)
+    assert "alpha = 1e-12 is at the float64 floor" in done.stderr
+    assert done.stderr.count("\n") == 1
+    rc, body, _ = _run(capsys, args)
+    assert rc == 0 and done.stdout == body
 
 
 def test_module_help_lists_every_subcommand_with_its_summary():

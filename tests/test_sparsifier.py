@@ -636,6 +636,48 @@ def test_an_admission_heavy_stream_keeps_its_factor_and_log_det_against_dense():
     assert np.max(np.abs(L @ L.T - g)) < 2.2e-12
 
 
+def test_each_block_solves_once_per_panel_through_the_module_binding(monkeypatch):
+    # bench/tracer.py counts the sparsifier's triangular solves by wrapping
+    # oks.sparsifier.solve_triangular and reads the factor's order off its
+    # first argument.  At d = 10, alpha = 0.3 almost every point is admitted,
+    # so no block drops all its candidates before the last panel
+    pts = np.random.default_rng(7).standard_normal((700, 10))
+    ref = Dictionary(rbf(1.0), 0.3).extend(pts)
+    orders = []
+    solve = sparsifier.solve_triangular
+
+    def counted(a, b, **kwargs):
+        orders.append(a.shape)
+        return solve(a, b, **kwargs)
+
+    monkeypatch.setattr(sparsifier, "solve_triangular", counted)
+    d = Dictionary(rbf(1.0), 0.3)
+    res = []
+    for s in range(0, len(pts), BLOCK):  # the blocks one extend forms
+        n = len(d)
+        orders.clear()
+        res.append(d.extend(pts[s : s + BLOCK]))
+        # one solve per panel, against its diagonal block L_pp
+        assert orders == [(min(PANEL, n - p), min(PANEL, n - p)) for p in range(0, n, PANEL)]
+    assert len(d) > 3 * PANEL
+    assert np.concatenate(res).tobytes() == ref.tobytes()
+
+
+def test_a_stream_at_the_alpha_floor_warns_once(caplog):
+    # 1-D rbf draws at alpha = 1e-12: admitted residuals of a few alpha carry
+    # only 2-3 correct digits, and the dense checks cannot confirm them
+    pts = Sampler.gaussian_input(1, 1.0, 21).points(40)
+    with caplog.at_level(logging.WARNING, logger="oks.sparsifier"):
+        d, _ = run_stream(rbf(1.0), 1e-12, pts)
+        d.extend(pts)
+    assert len(caplog.records) == 1
+    assert "alpha = 1e-12 is at the float64 floor" in caplog.records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="oks.sparsifier"):
+        run_stream(rbf(1.0), 0.1, pts)
+    assert caplog.records == []
+
+
 def test_extend_validates_before_admitting():
     d = Dictionary(rbf(1.0), 0.1)
     with pytest.raises(ValueError):
