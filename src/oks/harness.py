@@ -7,6 +7,10 @@ stream is lane 0 and the Nystrom subset's lane is 2**62, so t lies in
 [0, 2**62 - 1).  Each trial's value is computed on its own, and the values are
 reduced in trial order.  Estimates are therefore bit-identical across runs and
 whatever the chunk size that bounds the memory of one batch of trials.
+Within a chunk, ``mc_kstar_tail`` gathers the C(n, k) subset matrices of one
+span of trials at a time.  A span's stack holds at most ``_SPAN_DOUBLES``
+doubles whatever the chunk size (one trial's, at most 6300 for n <= 10, always
+fit), so that constant, not the chunk, bounds the memory of the subset work.
 
 A batch of trials re-keys one Philox per trial instead of building one per
 trial.  That equals a fresh generator because a Philox's whole state is its
@@ -53,6 +57,9 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+# 4 MiB: numpy madvises huge pages only from 4 MiB up, and smaller spans
+# fault in 4 KiB pages anew for every span
+_SPAN_DOUBLES = 2**19
 _MASTER_LANE = 0
 _TRIAL_LANE_BASE = 1
 _SUBSET_LANE = 2**62  # reserved stream for the Nystrom subset draw
@@ -226,10 +233,23 @@ def mc_kstar_tail(
 
 def _some_subset_passes(g: np.ndarray, j: int, log_alpha: float) -> np.ndarray:
     """Whether some j-subset A of the points behind each n x n Gram matrix in
-    ``g`` (over its leading batch axes) has log det G(A) > j * log_alpha."""
-    idx = _subset_indices(g.shape[-1], j)
-    ld = logdet_psd_stack(g[..., idx[:, :, None], idx[:, None, :]])
-    return np.any(ld > j * log_alpha, axis=-1)
+    ``g`` (over its leading batch axes) has log det G(A) > j * log_alpha.
+
+    Each Gram matrix has C(n, j) subset matrices of j * j entries, so the
+    subset stack grows with C(n, j), not with the Grams.  It is gathered for
+    one span of Grams at a time, with as many Grams as fit ``_SPAN_DOUBLES``
+    doubles (at least one).  The span's memory is that stack, its Cholesky
+    factor and the bool masks of :func:`logdet_psd_stack`, about 2.4 stacks.
+    """
+    n = g.shape[-1]
+    idx = _subset_indices(n, j)
+    flat = g.reshape(-1, n, n)
+    span = max(1, _SPAN_DOUBLES // (len(idx) * j * j))
+    out = np.empty(len(flat), dtype=bool)
+    for s in range(0, len(flat), span):
+        ld = logdet_psd_stack(flat[s : s + span, idx[:, :, None], idx[:, None, :]])
+        out[s : s + span] = np.any(ld > j * log_alpha, axis=-1)
+    return out.reshape(g.shape[:-2])
 
 
 @lru_cache(maxsize=64)

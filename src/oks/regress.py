@@ -86,7 +86,8 @@ def fit(dictionary: Dictionary, xs, ys, ridge: float = 0.0) -> RegressionModel:
     With ridge > 0 the design has full column rank.  With ridge = 0 a
     rank-deficient design raises (any ridge > 0 resolves it) by the rule of
     ``np.linalg.lstsq``: of the singular values of R[:m, :m], the design's
-    own, those at most eps * max(n, m) times the largest count as zero.
+    own, those at most eps * max(n, m) times the largest count as zero; see
+    :func:`_require_full_rank`.
     """
     from scipy import linalg
 
@@ -108,12 +109,46 @@ def fit(dictionary: Dictionary, xs, ys, ridge: float = 0.0) -> RegressionModel:
     bottom[:, m] = ys
     r, *_ = linalg.lapack.dtpqrt(0, min(NB, m + 1), top, bottom, overwrite_a=1, overwrite_b=1)
     if ridge == 0:
-        sv = np.linalg.svd(r[:m, :m], compute_uv=False)
-        rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(n, m) * sv[0]))
-        if rank < m:
-            raise np.linalg.LinAlgError(f"design has rank {rank} < {m}; refit with ridge > 0")
+        _require_full_rank(r[:m, :m], max(n, m))
     weights = linalg.solve_triangular(r[:m, :m], r[:m, m], check_finite=False)
     return RegressionModel(dictionary, weights, float(ridge))
+
+
+def _require_full_rank(r: np.ndarray, size: int) -> None:
+    """Raise unless the upper triangle r has full rank by the lstsq rule:
+    every singular value above eps * size times the largest.
+
+    The rule needs the singular values only near its cutoff, so most
+    triangles are certified by one triangular inversion and two norms, and
+    only the others pay for an SVD.  With X the computed inverse of r
+    (LAPACK ``dtrtri``), the test is
+
+        ||r||_F * ||X||_F < 1 / (c * eps * size),  c = 4.
+
+    Why it certifies, with u = eps / 2 the unit roundoff and m the order of
+    r: triangular inversion leaves a residual E = X r - I (or r X - I,
+    by variant) with |E| <= c_m * u * |X| |r| and c_m of order m (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 14.2).
+    So ||E||_2 <= c_m * u * ||X||_F * ||r||_F < c_m / (8 * size), which is
+    below 1/2 for any c_m <= 4 * m.  Then r^-1 = (I + E)^-1 X gives
+    sigma_min(r) = 1 / ||r^-1||_2 > 1 / (2 * ||X||_F), while sigma_max(r) <=
+    ||r||_F, so sigma_min > (c / 2) * eps * size * sigma_max.  The spare
+    factor c / 2 = 2 covers the SVD's own rounding of the singular values
+    (a modest multiple of u * sigma_max) and that of the two norms.
+
+    A zero pivot (``dtrtri`` reports it), a non-finite inverse or a failed
+    test falls back to the SVD, which decides exactly as ``lstsq`` would.
+    """
+    from scipy import linalg
+
+    inv, info = linalg.lapack.dtrtri(r)
+    eps = np.finfo(float).eps
+    if info == 0 and np.linalg.norm(r) * np.linalg.norm(inv) < 1 / (4 * eps * size):
+        return
+    sv = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.count_nonzero(sv > eps * size * sv[0]))
+    if rank < len(r):
+        raise np.linalg.LinAlgError(f"design has rank {rank} < {len(r)}; refit with ridge > 0")
 
 
 def read_labeled_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

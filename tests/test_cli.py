@@ -230,15 +230,19 @@ def test_body_across_blas_thread_counts_keeps_the_stated_contract(command, tmp_p
 
 @pytest.mark.parametrize("command", ["mc-gram", "kstar-tail"])
 def test_body_does_not_depend_on_chunk_size(command, inputs, monkeypatch, capsys):
-    # 5000 trials make three default chunks, or 715 chunks of at most 7
+    # 5000 trials make three default chunks, or 715 chunks of at most 7;
+    # kstar-tail's subset stacks also run one trial per span
     args = _invocations(inputs)[command]
+    splits = [{}, {"_CHUNK": 7}] + ([{"_SPAN_DOUBLES": 1}] if command == "kstar-tail" else [])
     bodies = []
-    for chunk in (harness._CHUNK, 7):
-        monkeypatch.setattr(harness, "_CHUNK", chunk)
-        rc, stdout, _ = _run(capsys, args)
+    for split in splits:
+        with monkeypatch.context() as m:
+            for name, value in split.items():
+                m.setattr(harness, name, value)
+            rc, stdout, _ = _run(capsys, args)
         assert rc == 0
         bodies.append(stdout)
-    assert bodies[0] == bodies[1]
+    assert bodies == [bodies[0]] * len(splits)
 
 
 _MC_GOLDEN = {

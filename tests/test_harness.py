@@ -330,7 +330,9 @@ def test_mc_kstar_tail_dominated_by_bound():
 
 
 def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
-    # 1000 trials make one default chunk, or 143 chunks of at most 7
+    # 1000 trials make one default chunk, or 143 chunks of at most 7.
+    # kstar-tail's subset stacks also run one trial per span; at n = 10,
+    # k = 5 the default spans of 83 trials already split a chunk
     s = diag_sampler([1.0, 0.5], 13)
     g = Sampler.gaussian_input(2, 1.0, 13)
 
@@ -339,11 +341,14 @@ def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
             mc_det_moment(s, linear(), 2, 1, 1000),
             mc_det_moment(g, rbf(1.0), 3, 2, 1000),
             mc_kstar_tail(g, rbf(1.0), 0.9, 5, 3, 1000),
+            mc_kstar_tail(g, rbf(1.0), 0.9, 10, 5, 1000),
         )
 
     default = estimates()
-    monkeypatch.setattr(harness, "_CHUNK", 7)
-    assert estimates() == default
+    for name, value in (("_CHUNK", 7), ("_SPAN_DOUBLES", 1)):
+        with monkeypatch.context() as m:
+            m.setattr(harness, name, value)
+            assert estimates() == default
 
 
 def _count_fallback(monkeypatch):
@@ -362,11 +367,31 @@ def _count_fallback(monkeypatch):
 def test_kstar_tail_bench_config_stays_on_the_cholesky_path(monkeypatch):
     # the benchmark's kstar-tail: 600 trials of 252 subset matrices (5x5).  Three
     # of them, with log det -24.0, -21.4 and -20.9, lie below the certification
-    # threshold (about -20.4) and take the elimination; the other 151 197 do not
+    # threshold (about -20.4) and take the elimination; the other 151 197 do not.
+    # They reach it from whichever spans of trials hold them
     sizes = _count_fallback(monkeypatch)
     est = mc_kstar_tail(Sampler.gaussian_input(2, 1.0, 1), rbf(1.0), 0.9, 10, 5, 600)
     assert est.mean == 0.5183333333333333
-    assert sizes == [3]
+    assert sum(sizes) == 3
+    assert all(sizes)
+
+
+def test_kstar_tail_bench_config_memory_is_bounded_by_its_span():
+    # one span's subset stack holds at most _SPAN_DOUBLES doubles (4 MiB; 83
+    # trials of 252 5x5 matrices).  While it is alive, logdet_psd_stack adds
+    # its Cholesky factor (one more stack) and bool masks of an eighth of a
+    # stack each, 2.5 stacks in all.  The chunk's 600 draws and Grams, with
+    # gram's strip, take under 2 MiB.  A stack over the whole chunk would
+    # take 30 MB
+    s = Sampler.gaussian_input(2, 1.0, 1)
+    mc_kstar_tail(s, rbf(1.0), 0.9, 10, 5, 600)  # caches the subset indices
+    tracemalloc.start()
+    try:
+        mc_kstar_tail(s, rbf(1.0), 0.9, 10, 5, 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * harness._SPAN_DOUBLES * 8 + 2 * 2**20
 
 
 def test_mc_estimates_keep_their_bits_when_some_trials_fail_cholesky(tmp_path, monkeypatch):

@@ -85,6 +85,22 @@ def test_rank_deficient_without_ridge_raises():
     fit(d, xs, np.array([1.0, 1.0, 1.0]), ridge=0.1)  # resolvable by ridge
 
 
+def test_ridge_zero_takes_the_svd_only_when_full_rank_is_not_certified(monkeypatch):
+    # a well-conditioned design is certified by its triangle's inverse; a
+    # rank-deficient one still reaches the SVD, which raises
+    xs = np.random.default_rng(8).standard_normal((300, 2))
+    d = Dictionary(rbf(1.0), 0.1)
+    d.extend(xs)
+    assert len(d) > 10
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    fit(d, xs, np.sin(xs[:, 0]), ridge=0.0)
+    assert calls == []
+    test_rank_deficient_without_ridge_raises()
+    assert calls == [1]
+
+
 def _check_fit_against_lstsq(d, xs, ys, ridge):
     # fit's weights against lstsq on [psi; sqrt(ridge) * I] and [ys; 0];
     # returns the augmented design's condition number
