@@ -26,7 +26,7 @@ from .kernels import (
     gram_cross,
     kernel_diag,
     linear,
-    log_det_psd,
+    logdet_psd_stack,
     polynomial,
     power,
     rbf,
@@ -74,9 +74,9 @@ __all__ = [
     "linear",
     "load_dictionary",
     "log_binomial",
-    "log_det_psd",
     "log_nu",
     "log_nu_row",
+    "logdet_psd_stack",
     "mc_det_moment",
     "mc_kstar_tail",
     "nu_geometric",

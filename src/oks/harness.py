@@ -33,7 +33,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 # gram_cross is unused here; bench/selftest.py checks the tracer wraps this binding
-from .kernels import KernelSpec, gram, gram_cross, log_det_psd, logdet_psd_stack  # noqa: F401
+from .kernels import KernelSpec, gram, gram_cross, logdet_psd_stack  # noqa: F401
 from .logvalue import LogValue
 from .sparsifier import Dictionary
 from .symfun import Spectrum
@@ -238,8 +238,9 @@ def _some_subset_passes(g: np.ndarray, j: int, log_alpha: float) -> np.ndarray:
     Each Gram matrix has C(n, j) subset matrices of j * j entries, so the
     subset stack grows with C(n, j), not with the Grams.  It is gathered for
     one span of Grams at a time, with as many Grams as fit ``_SPAN_DOUBLES``
-    doubles (at least one).  The span's memory is that stack, its Cholesky
-    factor and the bool masks of :func:`logdet_psd_stack`, about 2.4 stacks.
+    doubles (at least one).  The span's memory peaks at that stack, its
+    Cholesky factor and the logs of the factor's diagonal (1/j of a stack):
+    2.24 stacks at j = 5 by tracemalloc.
     """
     n = g.shape[-1]
     idx = _subset_indices(n, j)
@@ -267,9 +268,10 @@ class NystromComparison:
     ``log_det_oks`` is the dictionary's own incremental log-determinant (the
     sum of log admitted residuals), so ``log_det_oks > oks_size * log(alpha)``
     holds by construction, even when alpha sits near the float64 floor.
-    ``log_det_nystrom`` is the dense pivoted value of :func:`log_det_psd` on
-    the random subset's Gram matrix; ``-inf`` there means the subset is
-    singular at ``DEFAULT_PIVOT_TOL`` relative to its largest diagonal entry.
+    ``log_det_nystrom`` is :func:`logdet_psd_stack` of the random subset's
+    Gram matrix: its Cholesky value where that certifies, else the value of
+    the pivoted elimination; ``-inf`` there means the subset is singular at
+    ``DEFAULT_PIVOT_TOL`` relative to its largest diagonal entry.
 
     Each approximation of the Gram matrix G of the points X is G_hat = F^T F:
     F = L^-1 K(D, X) from the dictionary's factor L, and F = W^-1/2 V^T K(S, X)
@@ -354,7 +356,7 @@ def nystrom_compare(
     f_nys = (vecs[:, keep] / np.sqrt(w[keep])).T @ g[sub]
     (e_oks, s_oks), (e_nys, s_nys) = (_LowRankError(g, f).norms() for f in (f_oks, f_nys))
     return NystromComparison(
-        oks_size=len(d), log_det_oks=d.log_det, log_det_nystrom=log_det_psd(k_ss),
+        oks_size=len(d), log_det_oks=d.log_det, log_det_nystrom=logdet_psd_stack(k_ss),
         entrywise_err_oks=e_oks, entrywise_err_nystrom=e_nys,
         spectral_err_oks=s_oks, spectral_err_nystrom=s_nys,
         entrywise_bound=2.0 * math.sqrt(float(g.diagonal().max())) * math.sqrt(alpha),

@@ -11,11 +11,13 @@ ones: each value is formed once, the matrix is exactly symmetric by
 construction, and its peak is the output plus one strip.
 
 Determinant arithmetic never leaves log domain: :func:`logdet_psd_stack`
-decides singularity by its own diagonal-pivoted factorization, so that a
-pivot inside the relative tolerance band is reported as an exact zero
-(singular matrix) while a decisively negative pivot raises
-:class:`NotPsdError`.  A batched Cholesky factorization stands in for it on
-every matrix that is provably far from that band.
+is the one log-determinant entry.  It refuses a stack holding a non-finite
+entry or a matrix that is not exactly symmetric, and decides singularity by
+its own diagonal-pivoted factorization, so that a pivot inside the relative
+tolerance band is reported as an exact zero (singular matrix) while a
+decisively negative pivot raises :class:`NotPsdError`.  A batched Cholesky
+factorization stands in for it on every matrix that is provably far from
+that band.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .logvalue import LOG_ZERO, LogValue
+from .logvalue import LOG_ZERO
 
 __all__ = [
     "KernelSpec",
@@ -38,7 +40,6 @@ __all__ = [
     "kernel_diag",
     "gram",
     "gram_cross",
-    "log_det_psd",
     "logdet_psd_stack",
     "DEFAULT_PIVOT_TOL",
 ]
@@ -260,8 +261,13 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     return k
 
 
-def logdet_psd_stack(mats) -> np.ndarray:
-    """Log-determinants of a stack of PSD matrices ``(..., n, n)``.
+def logdet_psd_stack(mats) -> np.ndarray | np.float64:
+    """Log-determinants of a stack of symmetric PSD matrices ``(..., n, n)``;
+    a single matrix ``(n, n)`` gives one ``np.float64``.
+
+    Raises ``ValueError``, before any factorization, when the stack holds a
+    non-finite entry or a matrix that is not exactly symmetric.  An order-0
+    matrix has determinant 1, hence log-determinant 0.
 
     The result is that of symmetric elimination with diagonal pivoting
     (largest remaining diagonal first), which leaves determinants unchanged
@@ -295,11 +301,9 @@ def logdet_psd_stack(mats) -> np.ndarray:
     grows with n, so near-singular matrices of higher order take the
     elimination more often.
 
-    Every other matrix takes the elimination, unchanged: one that fails the
-    test or its own Cholesky factorization, or that is not exactly
-    symmetric (Cholesky reads only the lower triangle) or holds a non-finite
-    entry.  The route of a matrix, and so its value, never depends on the
-    rest of the stack.
+    Every other matrix takes the elimination: one that fails the test or
+    its own Cholesky factorization.  The route of a matrix, and so its
+    value, never depends on the rest of the stack.
     """
     a = np.asarray(mats, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -307,21 +311,21 @@ def logdet_psd_stack(mats) -> np.ndarray:
     n = a.shape[-1]
     batch = a.shape[:-2]
     if n == 0:
-        return np.zeros(batch)
+        return np.zeros(batch)[()]
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    if not (a == a.swapaxes(-1, -2)).all():  # Cholesky reads only the lower triangle
+        raise ValueError("matrix is not symmetric")
     a = a[None] if a.ndim == 2 else a  # a stack keeps its layout: reshaping may copy
-    ready = (a == a.swapaxes(-1, -2)) & np.isfinite(a)
-    fast = np.full(a.shape[:-2], True) if ready.all() else ready.all(axis=(-2, -1))
-    out = np.empty(a.shape[:-2])
-    ld = _cholesky_logdets(a if fast.all() else a[fast]).ravel()
+    ld = _cholesky_logdets(a)
     delta = 4 * n**3 * np.finfo(float).eps / 2
     margin = (n - 1) * math.log(n) + math.log1p(delta / DEFAULT_PIVOT_TOL) + math.log(2.0)
-    top = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)[fast]
-    out[fast] = ld
+    top = np.diagonal(a, axis1=-2, axis2=-1).max(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # top <= 0 only where ld is NaN
-        fast[fast] = ld > math.log(DEFAULT_PIVOT_TOL) + n * np.log(top) + margin  # False where NaN
-    if not fast.all():
-        out[~fast] = _logdet_pivoted(a[~fast])
-    return out.reshape(batch)
+        slow = ~(ld > math.log(DEFAULT_PIVOT_TOL) + n * np.log(top) + margin)  # True where NaN
+    if slow.any():
+        ld[slow] = _logdet_pivoted(a[slow])
+    return ld.reshape(batch)[()]
 
 
 def _cholesky_logdets(a: np.ndarray) -> np.ndarray:
@@ -375,21 +379,3 @@ def _logdet_pivoted(a: np.ndarray) -> np.ndarray:
                 col = np.where(live[:, None], a[:, j + 1 :, j] / psafe[:, None], 0.0)
                 a[:, j + 1 :, j + 1 :] -= col[:, :, None] * a[:, j : j + 1, j + 1 :]
     return np.where(zero, LOG_ZERO, out)
-
-
-def log_det_psd(m) -> LogValue:
-    """Log-determinant of one symmetric PSD matrix.
-
-    Returns the zero state (``-inf``) for singular input; an order-0 matrix
-    has determinant 1, hence log-determinant 0.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if a.shape[0] == 0:
-        return 0.0
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric")
-    return float(logdet_psd_stack(a))

@@ -3,7 +3,8 @@
 :func:`eval_kernel` evaluates one pair by each kind's plain formula, with
 the rbf distance taken as x - y, independently of the inner-product form
 that every Gram matrix of the library is computed by.  The others recompute
-their answer from dense Gram matrices, independently of the incremental
+their answer from dense Gram matrices and their log-determinants by
+:func:`oks.kernels.logdet_psd_stack`, independently of the incremental
 factor that :class:`oks.Dictionary` maintains.  :func:`esp_brute` sums
 log nu(k) over every k-subset of a spectrum, independently of the row
 recursion of :func:`oks.symfun.nu_rows`.
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from oks.harness import _some_subset_passes
-from oks.kernels import KernelSpec, gram, log_det_psd
+from oks.kernels import KernelSpec, gram, logdet_psd_stack
 from oks.logvalue import LOG_ZERO, log_factorial
 from oks.symfun import Spectrum
 
@@ -52,7 +53,7 @@ def check_alpha_compatible(kernel: KernelSpec, alpha: float, seq) -> bool:
 
     Each ratio is computed from dense log-determinants of the prefix Gram
     matrices, independently of any incremental factor.  Those come from
-    :func:`log_det_psd` at ``DEFAULT_PIVOT_TOL``, which calls a prefix
+    :func:`logdet_psd_stack` at ``DEFAULT_PIVOT_TOL``, which calls a prefix
     singular once a pivot falls below ``DEFAULT_PIVOT_TOL * max k(x, x)``;
     the answer is therefore only valid for alpha well above that product.
     Near it, a sequence that is alpha-compatible in exact arithmetic can be
@@ -71,7 +72,7 @@ def check_alpha_compatible(kernel: KernelSpec, alpha: float, seq) -> bool:
     log_alpha = math.log(alpha)
     prev = 0.0
     for j in range(1, pts.shape[0] + 1):
-        ld = log_det_psd(g[:j, :j])
+        ld = logdet_psd_stack(g[:j, :j])
         if not ld - prev > log_alpha:
             return False
         prev = ld

@@ -22,7 +22,7 @@ from oks.harness import (
     write_csv,
     write_manifest,
 )
-from oks.kernels import gram, gram_cross, linear, polynomial, power, rbf
+from oks.kernels import KernelSpec, gram, gram_cross, linear, polynomial, power, rbf
 from oks.regress import read_labeled_csv
 from oks.sparsifier import run_stream
 from oks.symfun import Spectrum, log_nu_row
@@ -379,10 +379,10 @@ def test_kstar_tail_bench_config_stays_on_the_cholesky_path(monkeypatch):
 def test_kstar_tail_bench_config_memory_is_bounded_by_its_span():
     # one span's subset stack holds at most _SPAN_DOUBLES doubles (4 MiB; 83
     # trials of 252 5x5 matrices).  While it is alive, logdet_psd_stack adds
-    # its Cholesky factor (one more stack) and bool masks of an eighth of a
-    # stack each, 2.5 stacks in all.  The chunk's 600 draws and Grams, with
-    # gram's strip, take under 2 MiB.  A stack over the whole chunk would
-    # take 30 MB
+    # its Cholesky factor (one more stack) and the logs of the factor's
+    # diagonal (a fifth of a stack), 2.25 stacks in all.  The chunk's 600
+    # draws and Grams, with gram's strip, take under 2 MiB.  A stack over the
+    # whole chunk would take 30 MB
     s = Sampler.gaussian_input(2, 1.0, 1)
     mc_kstar_tail(s, rbf(1.0), 0.9, 10, 5, 600)  # caches the subset indices
     tracemalloc.start()
@@ -391,7 +391,7 @@ def test_kstar_tail_bench_config_memory_is_bounded_by_its_span():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * harness._SPAN_DOUBLES * 8 + 2 * 2**20
+    assert peak < 2.25 * harness._SPAN_DOUBLES * 8 + 2 * 2**20
 
 
 def test_mc_estimates_keep_their_bits_when_some_trials_fail_cholesky(tmp_path, monkeypatch):
@@ -407,6 +407,25 @@ def test_mc_estimates_keep_their_bits_when_some_trials_fail_cholesky(tmp_path, m
     assert sizes == [100]
     monkeypatch.setattr(harness, "_CHUNK", 7)
     assert mc_det_moment(s, rbf(1.0), 3, 1, 1000) == default
+
+
+@pytest.mark.parametrize("text", ["poly:3:1.0:1.0", "pow:2:rbf:1.0"])
+def test_mc_estimators_never_trip_the_logdet_refusal(text, tmp_path, monkeypatch):
+    # logdet_psd_stack refuses a non-finite or asymmetric stack; every stack the
+    # estimators hand it is a Gram or a subset of one, exactly symmetric and
+    # finite, also where repeated rows make it singular
+    kernel = KernelSpec.from_text(text)
+    rows = np.random.default_rng(29).standard_normal((3000, 2))
+    rows[2::30] = rows[1::30]
+    path = tmp_path / "rows.csv"
+    path.write_text("x0,x1\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in rows))
+    sizes = _count_fallback(monkeypatch)
+    for s in (Sampler.gaussian_input(2, 1.0, 3), Sampler.dataset(str(path))):
+        sizes.clear()
+        for est in (mc_det_moment(s, kernel, 3, 1, 1000), mc_kstar_tail(s, kernel, 0.5, 6, 3, 200)):
+            assert math.isfinite(est.mean)
+    # the dataset's singular trials (every 10th Gram of 3 points, every 5th of 6) took the elimination
+    assert sum(sizes) >= 100
 
 
 # --- growth over sampled streams -------------------------------------------------

@@ -16,7 +16,6 @@ from oks.kernels import (
     gram_cross,
     kernel_diag,
     linear,
-    log_det_psd,
     logdet_psd_stack,
     polynomial,
     power,
@@ -293,32 +292,33 @@ def test_gram_refuses_a_non_finite_k_xx_in_a_stack():
     assert np.isfinite(gram(spec, stack[:2])).all()
 
 
-# --- log_det_psd -----------------------------------------------------------
+# --- logdet_psd_stack on one matrix ---------------------------------------
 
 def test_logdet_identity():
-    assert log_det_psd(np.eye(3)) == 0.0
+    assert logdet_psd_stack(np.eye(3)) == 0.0
+    assert type(logdet_psd_stack(np.eye(3))) is np.float64  # format_cell writes it as a float
 
 
 def test_logdet_2x2():
-    assert log_det_psd([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(math.log(3.0), rel=1e-14)
+    assert logdet_psd_stack([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(math.log(3.0), rel=1e-14)
 
 
 def test_logdet_singular_rank_one():
-    assert is_log_zero(log_det_psd([[1.0, 1.0], [1.0, 1.0]]))
+    assert is_log_zero(logdet_psd_stack([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_logdet_order_zero():
-    assert log_det_psd(np.zeros((0, 0))) == 0.0
+    assert logdet_psd_stack(np.zeros((0, 0))) == 0.0
 
 
 def test_logdet_non_psd_raises():
     with pytest.raises(NotPsdError):
-        log_det_psd([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+        logdet_psd_stack([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
 
 
 def test_logdet_asymmetric_rejected():
     with pytest.raises(ValueError):
-        log_det_psd([[1.0, 0.5], [0.4, 1.0]])
+        logdet_psd_stack([[1.0, 0.5], [0.4, 1.0]])
 
 
 def test_logdet_stack_matches_slogdet():
@@ -415,7 +415,7 @@ def test_routing_keeps_singular_verdicts_near_the_tolerance(n, pivoted, fallback
     assert np.isneginf(ref).any() and live.any()
 
 
-@pytest.mark.parametrize("bad", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]])
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [2.0, 1.0]]])
 def test_routing_raises_not_psd_on_both_paths(bad, pivoted):
     a = np.stack([np.eye(2), bad, 2 * np.eye(2)])
     with pytest.raises(NotPsdError):
@@ -424,15 +424,18 @@ def test_routing_raises_not_psd_on_both_paths(bad, pivoted):
         logdet_psd_stack(a)
 
 
-def test_asymmetric_and_nan_matrices_keep_their_pivoted_values(pivoted, fallback_sizes):
+def test_asymmetric_and_non_finite_stacks_are_refused(pivoted, fallback_sizes):
+    # no Gram of the library is either: gram mirrors its triangle and refuses a
+    # non-finite k(x, x).  One such matrix refuses its whole stack, on both paths
     asym = [[1.0, 0.5], [0.4, 1.0]]
     nan = [[1.0, np.nan], [np.nan, 1.0]]
-    a = np.stack([np.eye(2), asym, nan, [[2.0, 1.0], [1.0, 2.0]]])
-    ref = pivoted(a)
-    fallback_sizes.clear()
-    got = logdet_psd_stack(a)
-    assert np.array_equal(got, ref, equal_nan=True)
-    assert fallback_sizes == [2]  # Cholesky runs on the two clean matrices only
+    inf = [[1.0, np.inf], [np.inf, 1.0]]
+    for bad, match in ((asym, "not symmetric"), (nan, "non-finite"), (inf, "non-finite")):
+        a = np.stack([np.eye(2), bad, [[2.0, 1.0], [1.0, 2.0]]])
+        for run in (logdet_psd_stack, pivoted):
+            with pytest.raises(ValueError, match=match):
+                run(a)
+    assert fallback_sizes == []
 
 
 def test_one_singular_matrix_inside_a_pd_stack(pivoted, fallback_sizes):
@@ -477,7 +480,7 @@ def test_hadamard_bound():
     for _ in range(50):
         pts = random_points(rng, rng.integers(1, 7), rng.integers(1, 4))
         g = gram(rbf(1.0), pts)
-        ld = log_det_psd(g)
+        ld = logdet_psd_stack(g)
         if not is_log_zero(ld):
             assert ld <= np.sum(np.log(np.diag(g))) + 1e-9
 
@@ -489,8 +492,8 @@ def test_hadamard_product_bound():
         n = int(rng.integers(1, 6))
         a = gram(rbf(1.0), random_points(rng, n, 3))
         b = gram(polynomial(2, 1.0, 0.3), random_points(rng, n, 3))
-        lhs = log_det_psd(a * b)
-        rhs = log_det_psd(a) + log_det_psd(b)
+        lhs = logdet_psd_stack(a * b)
+        rhs = logdet_psd_stack(a) + logdet_psd_stack(b)
         if is_log_zero(rhs):
             continue
         assert lhs >= rhs - 1e-9 * max(1.0, abs(rhs))
@@ -504,13 +507,13 @@ def test_cover_thomas_inequality(k, alpha):
     for _ in range(20):
         pts = random_points(rng, k + 1, k + 1)
         g = gram(linear(), pts)
-        det_full = math.exp(log_det_psd(g)) if not is_log_zero(log_det_psd(g)) else 0.0
+        det_full = math.exp(logdet_psd_stack(g)) if not is_log_zero(logdet_psd_stack(g)) else 0.0
         lhs = (det_full / alpha ** (k + 1)) ** (1.0 / (k + 1))
         subs = []
         for drop in range(k + 1):
             keep = [i for i in range(k + 1) if i != drop]
             sub = g[np.ix_(keep, keep)]
-            ld = log_det_psd(sub)
+            ld = logdet_psd_stack(sub)
             det = 0.0 if is_log_zero(ld) else math.exp(ld)
             subs.append((det / alpha**k) ** (1.0 / k))
         assert lhs <= np.mean(subs) + 1e-9

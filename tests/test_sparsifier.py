@@ -11,7 +11,7 @@ import pytest
 from oks import sparsifier
 from oks.cli import _parse_checkpoints
 from oks.harness import Sampler, load_dictionary, save_dictionary
-from oks.kernels import gram, gram_cross, linear, log_det_psd, polynomial, power, rbf
+from oks.kernels import gram, gram_cross, linear, logdet_psd_stack, polynomial, power, rbf
 from oks.logvalue import is_log_zero
 from oks.sparsifier import BLOCK, PANEL, Dictionary, NumericalConsistencyError, run_stream
 from oracles import check_alpha_compatible, eval_kernel, kstar_oracle
@@ -251,7 +251,7 @@ def test_residual_exactness_randomized_streams():
             worst = max(worst, abs(ref - got))
             if d.offer(x).admitted:
                 members.append(x)
-        ld_dense = log_det_psd(gram(kernel, d.members)) if len(d) else 0.0
+        ld_dense = logdet_psd_stack(gram(kernel, d.members)) if len(d) else 0.0
         assert abs(d.log_det - ld_dense) < 1e-8
     assert worst < 1e-8
 
@@ -808,7 +808,7 @@ def test_passing_subset_sizes_form_a_prefix():
         for r in range(1, n + 1):
             hit = False
             for keep in itertools.combinations(range(n), r):
-                ld = log_det_psd(g[np.ix_(keep, keep)])
+                ld = logdet_psd_stack(g[np.ix_(keep, keep)])
                 if not is_log_zero(ld) and ld > r * math.log(alpha):
                     hit = True
                     break
