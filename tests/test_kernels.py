@@ -415,7 +415,8 @@ def test_routing_keeps_singular_verdicts_near_the_tolerance(n, pivoted, fallback
     assert np.isneginf(ref).any() and live.any()
 
 
-@pytest.mark.parametrize("bad", [[[1.0, 2.0], [2.0, 1.0]]])
+# eigenvalues 3 and -1; then a diagonal with no positive entry, so the pivot threshold is 0
+@pytest.mark.parametrize("bad", [[[1.0, 2.0], [2.0, 1.0]], [[-1.0, 0.0], [0.0, -2.0]]])
 def test_routing_raises_not_psd_on_both_paths(bad, pivoted):
     a = np.stack([np.eye(2), bad, 2 * np.eye(2)])
     with pytest.raises(NotPsdError):
@@ -424,9 +425,10 @@ def test_routing_raises_not_psd_on_both_paths(bad, pivoted):
         logdet_psd_stack(a)
 
 
-def test_asymmetric_and_non_finite_stacks_are_refused(pivoted, fallback_sizes):
-    # no Gram of the library is either: gram mirrors its triangle and refuses a
-    # non-finite k(x, x).  One such matrix refuses its whole stack, on both paths
+def test_asymmetric_and_nan_matrices_keep_their_pivoted_values(pivoted, fallback_sizes):
+    # the verdict both paths keep for them is a refusal: no Gram of the library
+    # is either, since gram mirrors its triangle and refuses a non-finite k(x, x).
+    # One such matrix (an inf one too) refuses its whole stack, on both paths
     asym = [[1.0, 0.5], [0.4, 1.0]]
     nan = [[1.0, np.nan], [np.nan, 1.0]]
     inf = [[1.0, np.inf], [np.inf, 1.0]]
