@@ -30,12 +30,8 @@ def dict_tail_bound(n: int, k: int, alpha: float, spec: Spectrum) -> LogValue:
     Above the spectrum's length nu(k) is exactly zero if it declares no tail,
     so the bound is the zero state; with a declared tail it raises.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    _check_length(k, spec)
-    return float(log_binomial(n, k) + log_nu(spec, k) - k * math.log(alpha))
+    _check_tail_bound(n, k, alpha, spec)
+    return _tail_bound_from_log_nu(n, k, alpha, log_nu(spec, k))
 
 
 def sample_threshold(k: int, alpha: float, delta: float, spec: Spectrum) -> float:
@@ -48,6 +44,22 @@ def sample_threshold(k: int, alpha: float, delta: float, spec: Spectrum) -> floa
     spectrum that declares no tail.  Above the length of one that declares
     a tail it raises.
     """
+    _check_threshold(k, alpha, delta, spec)
+    return _threshold_from_log_nu(k, alpha, delta, log_nu(spec, k))
+
+
+# each public bound is its argument checks plus a formula over log nu(k), so
+# a caller that needs both bounds on one spectrum runs the recursion once
+
+def _check_tail_bound(n: int, k: int, alpha: float, spec: Spectrum) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    _check_length(k, spec)
+
+
+def _check_threshold(k: int, alpha: float, delta: float, spec: Spectrum) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0 < alpha < math.inf:
@@ -55,7 +67,6 @@ def sample_threshold(k: int, alpha: float, delta: float, spec: Spectrum) -> floa
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     _check_length(k, spec)
-    return _threshold_from_log_nu(k, alpha, delta, log_nu(spec, k))
 
 
 def _check_length(k: int, spec: Spectrum) -> None:
@@ -64,6 +75,10 @@ def _check_length(k: int, spec: Spectrum) -> None:
         raise ValueError(
             f"k={k} exceeds spectrum length {spec.size} and the declared tail leaves nu(k) unknown"
         )
+
+
+def _tail_bound_from_log_nu(n: int, k: int, alpha: float, lnu: LogValue) -> LogValue:
+    return float(log_binomial(n, k) + lnu - k * math.log(alpha))
 
 
 def _threshold_from_log_nu(k: int, alpha: float, delta: float, lnu: LogValue) -> float:

@@ -40,7 +40,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import dict_tail_bound, sample_threshold
+from .bounds import (
+    _check_tail_bound,
+    _check_threshold,
+    _tail_bound_from_log_nu,
+    _threshold_from_log_nu,
+)
 from .harness import (
     Sampler,
     dataset_rows,
@@ -55,7 +60,7 @@ from .kernels import KernelSpec, gram
 from .regress import fit, read_labeled_csv
 from .sparsifier import run_stream
 from .spectrum import empirical_spectrum, synthetic_spectrum
-from .symfun import Spectrum, log_nu_row
+from .symfun import Spectrum, log_nu, log_nu_row
 
 __all__ = ["main", "CliError", "ValidationFailure"]
 
@@ -257,11 +262,16 @@ def _cmd_bound(eff: dict, emit: Emit) -> None:
     n, k, alpha = eff["n"], eff["k"], eff["alpha"]
     delta = eff.get("delta")
     spec = _load_spectrum(eff, k)
+    # dict_tail_bound and sample_threshold, with one nu(k) recursion for both
     try:
-        log_bound = dict_tail_bound(n, k, alpha, spec)
-        threshold = None if delta is None else sample_threshold(k, alpha, delta, spec)
+        _check_tail_bound(n, k, alpha, spec)
+        if delta is not None:
+            _check_threshold(k, alpha, delta, spec)
+        lnu = log_nu(spec, k)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    log_bound = _tail_bound_from_log_nu(n, k, alpha, lnu)
+    threshold = None if delta is None else _threshold_from_log_nu(k, alpha, delta, lnu)
     raw = float(np.exp(log_bound))
     clamped = min(raw, 1.0)
     header = ["n", "k", "alpha", "log_bound", "probability_raw", "probability"]

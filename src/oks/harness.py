@@ -15,7 +15,11 @@ fit), so that constant, not the chunk, bounds the memory of the subset work.
 A batch of trials re-keys one Philox per trial instead of building one per
 trial.  That equals a fresh generator because a Philox's whole state is its
 counter, key and output buffer (with its buffered half-word), all of which
-are reset, and a ``Generator`` keeps no state of its own.
+are reset, and a ``Generator`` keeps no state of its own.  The state dict
+assigned for each lane is the one a fresh Philox reports, with its counter,
+key and buffer arrays turned into lists of plain ints once: the setter then
+converts Python ints rather than numpy scalars, which takes more than half
+off each re-key, and it receives the same values, so every draw is unchanged.
 """
 
 from __future__ import annotations
@@ -72,9 +76,12 @@ def _streams(seed: int, lanes: Iterable[int]) -> Iterator[np.random.Generator]:
     ``Generator(Philox(key=[seed, lane]))``: one Philox, re-keyed per lane."""
     bits = np.random.Philox(key=np.array([seed & _U64, 0], np.uint64))
     state = bits.state  # fresh: counter 0, empty buffer, no buffered half-word
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    key = state["state"]["key"]
     gen = np.random.Generator(bits)
     for lane in lanes:
-        state["state"]["key"][1] = lane
+        key[1] = lane
         bits.state = state  # copies the values, so the dict is reused
         yield gen
 

@@ -103,23 +103,28 @@ def nu_rows(values: np.ndarray, k_max: int) -> Iterator[np.ndarray]:
 
     One rolling row is advanced in place by the two-term log-sum
     nu(n, k) = nu(n-1, k) + k * lam_n * nu(n-1, k-1), so n values cost
-    O(n * min(n, k_max)) work and one row of k_max + 1 entries.  Entry k of
-    a yielded row is log nu(n, k): column 0 is log 1 = 0 and columns beyond
-    n are the zero state.  The row is overwritten by the next step, so copy
-    it to keep it.  Each entry is computed elementwise from columns <= k, so
-    it does not depend on ``k_max``.
+    O(n * min(n, k_max)) work, one row of k_max + 1 entries and one scratch
+    term of k_max entries, with no array allocated per step.  Entry k of a
+    yielded row is log nu(n, k): column 0 is log 1 = 0 and columns beyond n
+    are the zero state.  The row is overwritten by the next step, so copy it
+    to keep it.  Each entry is computed elementwise from columns <= k, so it
+    does not depend on ``k_max``.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     row = np.full(k_max + 1, LOG_ZERO)
     row[0] = 0.0
     logk = np.log(np.arange(1, k_max + 1, dtype=float))
+    term = np.empty(k_max)  # scratch for each step's second term
     yield row
     with np.errstate(divide="ignore"):
         loglam = np.log(np.asarray(values, dtype=float))
     for n, loglam_n in enumerate(loglam, 1):
         m = min(n, k_max)
-        row[1 : m + 1] = np.logaddexp(row[1 : m + 1], logk[:m] + loglam_n + row[:m])
+        t = term[:m]
+        np.add(logk[:m], loglam_n, out=t)
+        t += row[:m]
+        np.logaddexp(row[1 : m + 1], t, out=row[1 : m + 1])
         yield row
 
 

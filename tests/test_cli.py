@@ -567,6 +567,24 @@ def test_trunc_below_1_is_a_usage_error(args, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bound_with_delta_runs_the_nu_recursion_once(inputs, monkeypatch, capsys):
+    from oks import bounds, symfun
+
+    calls = []
+
+    def counting_log_nu(spec, k):
+        calls.append(k)
+        return symfun.log_nu(spec, k)
+
+    # every oks namespace that binds log_nu, so no call goes uncounted
+    for module in (bounds, cli):
+        monkeypatch.setattr(module, "log_nu", counting_log_nu)
+    rc, stdout, _ = _run(capsys, _invocations(inputs)["bound"])
+    assert rc == 0
+    assert calls == [20]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _BODY_SHA256["bound"]
+
+
 def test_bound_bad_delta_is_a_usage_error(capsys):
     rc, stdout, err = _run(capsys, ["bound", "--n", "10", "--k", "3", "--alpha", "0.5",
                                     "--spectrum", "explicit:0.4,0.3,0.2", "--delta", "2"])

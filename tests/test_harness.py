@@ -143,6 +143,24 @@ def test_negative_seeds_key_distinct_streams():
     assert not np.array_equal(draws[0], draws[2])
 
 
+@pytest.mark.parametrize("seed", [0, -5])
+def test_rekeyed_state_equals_a_fresh_philox(seed):
+    # each named lane is re-keyed after a 7 x 3 draw that left the 4-word
+    # output buffer partly used, so a field the re-key missed would show
+    lanes = [2, 1, _SUBSET_LANE - 1, _SUBSET_LANE]
+    for lane, gen in zip(lanes, harness._streams(seed, lanes)):
+        got = gen.bit_generator.state
+        want = np.random.Philox(key=np.array([seed % 2**64, lane], np.uint64)).state
+        assert got["bit_generator"] == want["bit_generator"]
+        for name in ("counter", "key"):
+            assert np.array_equal(got["state"][name], want["state"][name]), name
+        assert np.array_equal(got["buffer"], want["buffer"])
+        for name in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[name] == want[name], name
+        gen.standard_normal((7, 3))
+        assert 0 < gen.bit_generator.state["buffer_pos"] < 4
+
+
 def test_gaussian_input_scale():
     s = Sampler.gaussian_input(3, 2.0, 1)
     narrow = Sampler.gaussian_input(3, 1.0, 1)

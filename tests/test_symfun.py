@@ -125,6 +125,37 @@ def test_nu_rows_entries_do_not_depend_on_k_max():
             assert np.array_equal(narrow, wide[: k + 1])
 
 
+def _allocating_nu_rows(values, k_max):
+    # the recursion step written with a new term and a new row each step
+    row = np.full(k_max + 1, -math.inf)
+    row[0] = 0.0
+    logk = np.log(np.arange(1, k_max + 1, dtype=float))
+    yield row.copy()
+    with np.errstate(divide="ignore"):
+        loglam = np.log(np.asarray(values, dtype=float))
+    for n, loglam_n in enumerate(loglam, 1):
+        m = min(n, k_max)
+        row[1 : m + 1] = np.logaddexp(row[1 : m + 1], logk[:m] + loglam_n + row[:m])
+        yield row.copy()
+
+
+@pytest.mark.parametrize("values, k_max", [
+    ([3.0, 2.0, 0.5, 0.0, 0.0], 3),
+    ([3.0, 2.0, 0.5, 0.0, 0.0], 9),
+    ((1.0 + np.arange(300.0)) ** -1.5, 40),
+    ((1.0 + np.arange(50.0)) ** -0.5, 80),
+    ([0.0, 0.0], 4),
+    ([], 3),
+], ids=["zeros", "zeros-k-above-length", "polynomial", "k-above-length", "all-zero", "empty"])
+def test_nu_rows_in_place_step_equals_the_allocating_step(values, k_max):
+    # growth_prediction reads intermediate rows, so every row is compared
+    want = list(_allocating_nu_rows(values, k_max))
+    got = [row.copy() for row in nu_rows(np.asarray(values, dtype=float), k_max)]
+    assert len(got) == len(want) == len(values) + 1
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 # --- esp_brute ---------------------------------------------------------------
 
 def test_esp_brute_examples():
