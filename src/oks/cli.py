@@ -84,7 +84,6 @@ class Opt:
     typ: Callable = str
     required: bool = False
     default: object = None
-    is_flag: bool = False
     help: str = ""
 
     @property
@@ -92,14 +91,11 @@ class Opt:
         return "--" + self.dest.replace("_", "-")
 
 
-# --out is a setting of the run (dumped and read back); the other two only
-# say how the settings are given
+# --out is a setting of the run (dumped and read back); --config and
+# --dump-config only say how the settings are given
 _OUT = Opt("out", help="output CSV path (default: stdout); a JSON manifest is written alongside")
 _SAMPLER = Opt("sampler", required=True, help="diag:v1,v2 | gauss:dim:scale | data:path")
-_CONTROL = [
-    Opt("config", help="key=value file overriding the flags of this run"),
-    Opt("dump_config", is_flag=True, help="print the effective configuration and exit"),
-]
+_CONTROL = Opt("config", help="key=value file overriding the flags of this run")
 
 
 def _load_config(path: str) -> dict:
@@ -475,11 +471,11 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", metavar="subcommand")
     for name, (summary, _, opts) in _COMMANDS.items():
         sub = subs.add_parser(name, help=summary)
-        for o in [*opts, *_CONTROL, _OUT]:
-            if o.is_flag:
-                sub.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
-            else:
-                sub.add_argument(o.flag, dest=o.dest, type=o.typ, default=None, help=o.help)
+        for o in [*opts, _CONTROL, _OUT]:
+            sub.add_argument(o.flag, dest=o.dest, type=o.typ, default=None, help=o.help)
+            if o is _CONTROL:
+                sub.add_argument("--dump-config", action="store_true",
+                                 help="print the effective configuration and exit")
     return parser
 
 

@@ -7,10 +7,11 @@ stream is lane 0 and the Nystrom subset's lane is 2**62, so t lies in
 [0, 2**62 - 1).  Each trial's value is computed on its own, and the values are
 reduced in trial order.  Estimates are therefore bit-identical across runs and
 whatever the chunk size that bounds the memory of one batch of trials.
-Within a chunk, ``mc_kstar_tail`` gathers the C(n, k) subset matrices of one
-span of trials at a time.  A span's stack holds at most ``_SPAN_DOUBLES``
-doubles whatever the chunk size (one trial's, at most 6300 for n <= 10, always
-fit), so that constant, not the chunk, bounds the memory of the subset work.
+Every Monte Carlo estimator is a function of the log-determinants of the
+C(n, j) j-subset Gram matrices of each trial's n points.  A chunk holds as
+many trials as keep its subset stack within ``_SPAN_DOUBLES`` doubles, and at
+most ``_CHUNK`` (one trial's stack, at most 6300 doubles for n <= 10, always
+fits), so that constant bounds the memory of the subset work.
 
 A batch of trials re-keys one Philox per trial instead of building one per
 trial.  That equals a fresh generator because a Philox's whole state is its
@@ -61,8 +62,8 @@ __all__ = [
 ]
 
 _CHUNK = 2048
-# 4 MiB: numpy madvises huge pages only from 4 MiB up, and smaller spans
-# fault in 4 KiB pages anew for every span
+# 4 MiB: numpy madvises huge pages only from 4 MiB up, and smaller subset
+# stacks fault in 4 KiB pages anew for every chunk
 _SPAN_DOUBLES = 2**19
 _MASTER_LANE = 0
 _TRIAL_LANE_BASE = 1
@@ -179,19 +180,31 @@ class McEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _mc(sampler: Sampler, kernel: KernelSpec, n: int, trials: int,
+def _mc(sampler: Sampler, kernel: KernelSpec, n: int, j: int, trials: int,
         value: Callable[[np.ndarray], np.ndarray]) -> McEstimate:
-    """Mean and standard error of ``value`` over trials, each on the Gram
-    matrix of n points of its own trial stream.
+    """Mean and standard error of ``value`` over trials, each on the
+    log-determinants of the C(n, j) j-subset Gram matrices of n points of its
+    own trial stream.
 
-    Trials run in spans of ``_CHUNK``: ``value`` maps a span's stacked Grams
-    to one value per trial.  The spans only bound the memory of one batch;
-    each trial's value does not depend on which span holds it.
+    Trials run in chunks: ``value`` maps a chunk's log-determinants, one row
+    of C(n, j) per trial, to one value per trial.  A chunk holds as many
+    trials as fit their subset stack in ``_SPAN_DOUBLES`` doubles, at least
+    one and at most ``_CHUNK``.  Its memory peaks at that stack, its Cholesky
+    factor and the logs of the factor's diagonal (1/j of a stack): 2.24
+    stacks at j = 5 by tracemalloc.  The chunks only bound the memory of one
+    batch; each trial's value does not depend on which chunk holds it.
     """
+    idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
+    chunk = max(1, min(_CHUNK, _SPAN_DOUBLES // (len(idx) * j * j)))
     out = np.empty(trials, dtype=float)
-    for s in range(0, trials, _CHUNK):
-        e = min(s + _CHUNK, trials)
-        out[s:e] = value(gram(kernel, sampler.points(n, trial=range(s, e))))
+    for s in range(0, trials, chunk):
+        e = min(s + chunk, trials)
+        g = gram(kernel, sampler.points(n, trial=range(s, e)))
+        # ld stays bound until the next chunk's: freed within the statement,
+        # it let the stacks' pages go back to the system, to fault in anew
+        # every chunk
+        ld = logdet_psd_stack(g[:, idx[:, :, None], idx[:, None, :]])
+        out[s:e] = value(ld)
     return McEstimate(float(out.mean()), float(out.std(ddof=1) / math.sqrt(trials)), trials)
 
 
@@ -210,7 +223,7 @@ def mc_det_moment(
         raise ValueError("need at least 1000 trials")
     if not 1 <= m <= 3:
         raise ValueError("moment order m must be 1, 2 or 3")
-    return _mc(sampler, kernel, k, trials, lambda g: np.exp(m * logdet_psd_stack(g)))
+    return _mc(sampler, kernel, k, k, trials, lambda ld: np.exp(m * ld[:, 0]))
 
 
 def mc_kstar_tail(
@@ -235,36 +248,7 @@ def mc_kstar_tail(
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     log_alpha = math.log(alpha)
-    return _mc(sampler, kernel, n, trials, lambda g: _some_subset_passes(g, k, log_alpha))
-
-
-def _some_subset_passes(g: np.ndarray, j: int, log_alpha: float) -> np.ndarray:
-    """Whether some j-subset A of the points behind each n x n Gram matrix in
-    ``g`` (over its leading batch axes) has log det G(A) > j * log_alpha.
-
-    Each Gram matrix has C(n, j) subset matrices of j * j entries, so the
-    subset stack grows with C(n, j), not with the Grams.  It is gathered for
-    one span of Grams at a time, with as many Grams as fit ``_SPAN_DOUBLES``
-    doubles (at least one).  The span's memory peaks at that stack, its
-    Cholesky factor and the logs of the factor's diagonal (1/j of a stack):
-    2.24 stacks at j = 5 by tracemalloc.
-    """
-    n = g.shape[-1]
-    idx = _subset_indices(n, j)
-    flat = g.reshape(-1, n, n)
-    span = max(1, _SPAN_DOUBLES // (len(idx) * j * j))
-    out = np.empty(len(flat), dtype=bool)
-    for s in range(0, len(flat), span):
-        ld = logdet_psd_stack(flat[s : s + span, idx[:, :, None], idx[:, None, :]])
-        out[s : s + span] = np.any(ld > j * log_alpha, axis=-1)
-    return out.reshape(g.shape[:-2])
-
-
-@lru_cache(maxsize=64)
-def _subset_indices(n: int, j: int) -> np.ndarray:
-    idx = np.array(list(combinations(range(n), j)), dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
+    return _mc(sampler, kernel, n, k, trials, lambda ld: np.any(ld > k * log_alpha, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ the rbf distance taken as x - y, independently of the inner-product form
 that every Gram matrix of the library is computed by.  The others recompute
 their answer from dense Gram matrices and their log-determinants by
 :func:`oks.kernels.logdet_psd_stack`, independently of the incremental
-factor that :class:`oks.Dictionary` maintains.  :func:`esp_brute` sums
+factor that :class:`oks.Dictionary` maintains.  :func:`kstar_oracle`
+gathers its subset matrices itself, one stack per subset size, independently
+of the Monte Carlo harness's subset table and chunks.  :func:`esp_brute` sums
 log nu(k) over every k-subset of a spectrum, independently of the row
 recursion of :func:`oks.symfun.nu_rows`.
 """
@@ -18,7 +20,6 @@ from itertools import combinations
 import numpy as np
 from scipy.special import logsumexp
 
-from oks.harness import _some_subset_passes
 from oks.kernels import KernelSpec, gram, logdet_psd_stack
 from oks.logvalue import LOG_ZERO, log_factorial
 from oks.symfun import Spectrum
@@ -82,8 +83,9 @@ def check_alpha_compatible(kernel: KernelSpec, alpha: float, seq) -> bool:
 def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
     """Largest k such that some k-subset A has log det G(A) > k log(alpha).
 
-    Exhaustive subset enumeration (sizes scanned from largest down), limited
-    to 14 points.  Returns 0 when no subset of any size passes.
+    Exhaustive subset enumeration (sizes scanned from largest down, one
+    log-determinant stack per size), limited to 14 points.  Returns 0 when
+    no subset of any size passes.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -98,7 +100,8 @@ def kstar_oracle(kernel: KernelSpec, alpha: float, points) -> int:
     g = gram(kernel, pts)
     log_alpha = math.log(alpha)
     for j in range(n, 0, -1):
-        if _some_subset_passes(g, j, log_alpha):
+        subsets = np.stack([g[np.ix_(a, a)] for a in combinations(range(n), j)])
+        if np.any(logdet_psd_stack(subsets) > j * log_alpha):
             return j
     return 0
 

@@ -231,7 +231,8 @@ def test_body_across_blas_thread_counts_keeps_the_stated_contract(command, tmp_p
 @pytest.mark.parametrize("command", ["mc-gram", "kstar-tail"])
 def test_body_does_not_depend_on_chunk_size(command, inputs, monkeypatch, capsys):
     # 5000 trials make three default chunks, or 715 chunks of at most 7;
-    # kstar-tail's subset stacks also run one trial per span
+    # kstar-tail's also run one trial per chunk when no subset stack fits
+    # _SPAN_DOUBLES
     args = _invocations(inputs)[command]
     splits = [{}, {"_CHUNK": 7}] + ([{"_SPAN_DOUBLES": 1}] if command == "kstar-tail" else [])
     bodies = []

@@ -103,9 +103,14 @@ def test_a_chunk_of_trials_builds_one_philox(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    assert harness._CHUNK == 2048
+    assert harness._CHUNK == 2048 and harness._SPAN_DOUBLES == 2**19
     mc_det_moment(Sampler.gaussian_input(2, 1.0, 3), rbf(1.0), 3, 1, 2048)
-    assert len(built) <= 1
+    assert len(built) == 1
+    # the bench's kstar-tail: a chunk of 2**19 // (C(10, 5) * 5 * 5) = 83
+    # trials keeps its subset stack within _SPAN_DOUBLES, so 600 trials make 8
+    built.clear()
+    mc_kstar_tail(Sampler.gaussian_input(2, 1.0, 1), rbf(1.0), 0.9, 10, 5, 600)
+    assert len(built) == math.ceil(600 / 83) == 8
 
 
 @pytest.mark.parametrize("kind", ["gauss", "diag", "dataset"])
@@ -348,9 +353,9 @@ def test_mc_kstar_tail_dominated_by_bound():
 
 
 def test_mc_estimates_do_not_depend_on_chunk_size(monkeypatch):
-    # 1000 trials make one default chunk, or 143 chunks of at most 7.
-    # kstar-tail's subset stacks also run one trial per span; at n = 10,
-    # k = 5 the default spans of 83 trials already split a chunk
+    # 1000 trials make one default chunk, or 143 chunks of at most 7, or
+    # 1000 chunks of one trial where no subset stack fits _SPAN_DOUBLES.  At
+    # n = 10, k = 5 kstar-tail's default chunks of 83 trials already make 13
     s = diag_sampler([1.0, 0.5], 13)
     g = Sampler.gaussian_input(2, 1.0, 13)
 
@@ -386,7 +391,7 @@ def test_kstar_tail_bench_config_stays_on_the_cholesky_path(monkeypatch):
     # the benchmark's kstar-tail: 600 trials of 252 subset matrices (5x5).  Three
     # of them, with log det -24.0, -21.4 and -20.9, lie below the certification
     # threshold (about -20.4) and take the elimination; the other 151 197 do not.
-    # They reach it from whichever spans of trials hold them
+    # They reach it from whichever chunks of trials hold them
     sizes = _count_fallback(monkeypatch)
     est = mc_kstar_tail(Sampler.gaussian_input(2, 1.0, 1), rbf(1.0), 0.9, 10, 5, 600)
     assert est.mean == 0.5183333333333333
@@ -395,14 +400,14 @@ def test_kstar_tail_bench_config_stays_on_the_cholesky_path(monkeypatch):
 
 
 def test_kstar_tail_bench_config_memory_is_bounded_by_its_span():
-    # one span's subset stack holds at most _SPAN_DOUBLES doubles (4 MiB; 83
+    # one chunk's subset stack holds at most _SPAN_DOUBLES doubles (4 MiB; 83
     # trials of 252 5x5 matrices).  While it is alive, logdet_psd_stack adds
     # its Cholesky factor (one more stack) and the logs of the factor's
-    # diagonal (a fifth of a stack), 2.25 stacks in all.  The chunk's 600
-    # draws and Grams, with gram's strip, take under 2 MiB.  A stack over the
-    # whole chunk would take 30 MB
+    # diagonal (a fifth of a stack), 2.25 stacks in all.  The chunk's 83
+    # draws and Grams, with gram's strip, and two chunks' log-determinants
+    # take under 2 MiB.  A stack over all 600 trials would take 30 MB
     s = Sampler.gaussian_input(2, 1.0, 1)
-    mc_kstar_tail(s, rbf(1.0), 0.9, 10, 5, 600)  # caches the subset indices
+    mc_kstar_tail(s, rbf(1.0), 0.9, 10, 5, 600)  # keeps first-use allocations out
     tracemalloc.start()
     try:
         mc_kstar_tail(s, rbf(1.0), 0.9, 10, 5, 600)
