@@ -25,13 +25,14 @@ off each re-key, and it receives the same values, so every draw is unchanged.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import IO, Callable, Iterable, Iterator, Sequence, Union
 
@@ -56,7 +57,6 @@ __all__ = [
     "save_dictionary",
     "load_dictionary",
     "write_csv",
-    "format_cell",
     "content_hash",
     "write_manifest",
 ]
@@ -108,7 +108,8 @@ class Sampler:
     sqrt(lam_i), so that under the linear kernel the covariance operator's
     spectrum is exactly the given finite spectrum; ``gaussian_input`` takes
     one scale for every coordinate, for use with any kernel.  ``dataset``
-    replays CSV rows of coordinates.
+    replays CSV rows of coordinates, read on first use and kept: a dataset
+    sampler replays the rows it first read even if the file is rewritten.
     """
 
     kind: str
@@ -155,9 +156,13 @@ class Sampler:
             z *= self.scales
         return z if isinstance(trial, range) else z[0]
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return dataset_rows(self.path)
+
     def _rows(self, n: int, blocks: range) -> np.ndarray:
         # trial t replays rows [t * n, (t + 1) * n)
-        rows = dataset_rows(self.path)
+        rows = self._table
         if n and blocks and blocks.stop * n > rows.shape[0]:
             start = max(blocks.start, rows.shape[0] // n) * n  # the first trial to run out
             raise ValueError(f"dataset {self.path!r} exhausted: need rows [{start}, {start + n})")
@@ -360,21 +365,14 @@ def nystrom_compare(
 # bodies plus a JSON run manifest
 
 def read_table(path: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """Header cells and numeric rows (read-only) of a CSV table, re-read
-    whenever the file changes.
+    """Header cells and numeric rows (read-only) of a CSV table, parsed anew
+    on every call.
 
     Blank lines and ``#`` comments are skipped.  The first non-numeric row is
     the header (``()`` when there is none) and a later one is malformed.
     Every row, the header included, is as wide as the first, and every
     numeric cell is finite.
     """
-    st = os.stat(path)
-    return _read_table(path, st.st_mtime_ns, st.st_size)
-
-
-@lru_cache(maxsize=8)
-def _read_table(path: str, mtime_ns: int, size: int) -> tuple[tuple[str, ...], np.ndarray]:
-    # mtime_ns and size only key the cache, so a rewritten file is parsed anew
     header, rows, width = (), [], 0
     with open(path, "r", newline="") as fh:
         for line in fh:
@@ -452,33 +450,18 @@ def load_dictionary(csv_path: str) -> Dictionary:
     return d
 
 
-def format_cell(value) -> str:
-    """Stable text form: full-precision repr for floats, "" for None, plain str otherwise.
-
-    Strings containing a comma, quote, or newline are quoted CSV-style.
-    """
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    text = str(value)
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_csv(target: Union[str, IO[str]], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The header, then the rows, through ``csv.writer`` in the excel dialect
+    with ``"\n"`` line ends: cells holding a comma, a quote or a newline are
+    quoted, None is written as "" and every other cell as its ``str``, which
+    for a float is its shortest round-tripping repr."""
     if isinstance(target, str):
         with open(target, "w", newline="") as fh:
             write_csv(fh, header, rows)
         return
-    target.write(",".join(format_cell(h) for h in header) + "\n")
-    for row in rows:
-        target.write(",".join(format_cell(v) for v in row) + "\n")
+    out = csv.writer(target, lineterminator="\n")
+    out.writerow(header)
+    out.writerows(rows)
 
 
 def content_hash(params: dict, input_paths: Sequence[str] = ()) -> str:

@@ -137,11 +137,19 @@ def rbf(bandwidth: float) -> KernelSpec:
 
 
 def polynomial(degree: int, offset: float = 0.0, scale: float = 1.0) -> KernelSpec:
-    return KernelSpec("poly", degree=int(degree), offset=float(offset), scale=float(scale))
+    return KernelSpec("poly", degree=_integer(degree, "polynomial degree"), offset=float(offset),
+                      scale=float(scale))
 
 
 def power(base: KernelSpec, m: int) -> KernelSpec:
-    return KernelSpec("pow", exponent=int(m), base=base)
+    return KernelSpec("pow", exponent=_integer(m, "power exponent"), base=base)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, refusing a fraction that int() would truncate."""
+    if value % 1:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _check_points(a) -> tuple[np.ndarray, np.ndarray]:

@@ -108,17 +108,20 @@ def nu_rows(values: np.ndarray, k_max: int) -> Iterator[np.ndarray]:
     yielded row is log nu(n, k): column 0 is log 1 = 0 and columns beyond n
     are the zero state.  The row is overwritten by the next step, so copy it
     to keep it.  Each entry is computed elementwise from columns <= k, so it
-    does not depend on ``k_max``.
+    does not depend on ``k_max``.  Every value must be finite and >= 0.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    values = np.asarray(values, dtype=float)
+    if not np.all((values >= 0) & (values < math.inf)):
+        raise ValueError("nu_rows values must be finite and nonnegative")
     row = np.full(k_max + 1, LOG_ZERO)
     row[0] = 0.0
     logk = np.log(np.arange(1, k_max + 1, dtype=float))
     term = np.empty(k_max)  # scratch for each step's second term
     yield row
     with np.errstate(divide="ignore"):
-        loglam = np.log(np.asarray(values, dtype=float))
+        loglam = np.log(values)
     for n, loglam_n in enumerate(loglam, 1):
         m = min(n, k_max)
         t = term[:m]

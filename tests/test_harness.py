@@ -14,7 +14,6 @@ from oks.harness import (
     McEstimate,
     Sampler,
     content_hash,
-    format_cell,
     mc_det_moment,
     mc_kstar_tail,
     nystrom_compare,
@@ -200,6 +199,16 @@ def test_dataset_rewritten_in_process_is_read_anew(tmp_path):
         fh.write("5.0,6.0\n7.0,8.0\n9.0,10.0\n")
     s = Sampler.dataset(path)
     assert s.points(3).tolist() == [[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]]
+    # the same size and the old timestamp: nothing on the file's stat moves
+    st = os.stat(path)
+    with open(path, "w") as fh:
+        fh.write("1.5,2.5\n3.5,4.5\n9.5,10.5\n")
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(path).st_size == st.st_size
+    assert harness.read_table(path)[1].tolist() == [[1.5, 2.5], [3.5, 4.5], [9.5, 10.5]]
+    assert Sampler.dataset(path).points(1).tolist() == [[1.5, 2.5]]
+    # a sampler keeps the rows it first read
+    assert s.points(1).tolist() == [[5.0, 6.0]]
 
 
 def test_dataset_skips_exactly_one_header_row(tmp_path):
@@ -613,15 +622,6 @@ def test_power_iteration_matches_dense_norm():
 
 # --- persistence helpers -------------------------------------------------------------
 
-def test_format_cell_quoting():
-    assert format_cell("diag:1,0.5") == '"diag:1,0.5"'
-    assert format_cell(1.5) == "1.5"
-    assert format_cell(float("-inf")) == "-inf"
-    assert format_cell(7) == "7"
-    assert format_cell(None) == ""
-    assert format_cell(True) == "true"
-
-
 def test_write_csv_round_trippable():
     buf = io.StringIO()
     write_csv(buf, ["a", "b"], [(1.25, "x,y"), (float("-inf"), "plain")])
@@ -629,6 +629,16 @@ def test_write_csv_round_trippable():
     assert lines[0] == "a,b"
     assert lines[1] == '1.25,"x,y"'
     assert lines[2] == "-inf,plain"
+    buf = io.StringIO()
+    write_csv(buf, ["s", "t", "u", "x", "n", "i", "none"], [
+        ("diag:1,0.5", 'say "hi"', "two\nlines", 0.1, float("-inf"), 7, None),
+        ("plain", "", "", np.float64(1 / 3), np.float64(1e-300), np.int64(-3), None),
+    ])
+    assert buf.getvalue() == (
+        "s,t,u,x,n,i,none\n"
+        '"diag:1,0.5","say ""hi""","two\nlines",0.1,-inf,7,\n'
+        f"plain,,,{1 / 3!r},1e-300,-3,\n"
+    )
 
 
 def test_manifest_contents(tmp_path, monkeypatch):

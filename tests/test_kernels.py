@@ -49,6 +49,16 @@ def test_polynomial_example():
     assert gram_cross(polynomial(2, 1.0, 1.0), [[1.0, 1.0]], [[1.0, 1.0]]).tolist() == [[9.0]]
 
 
+def test_factories_refuse_a_fractional_degree_or_exponent():
+    assert polynomial(2) == polynomial(np.int64(2)) == polynomial(2.0)
+    assert power(rbf(1.0), np.int64(3)).exponent == 3
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="polynomial degree must be an integer"):
+            polynomial(bad)
+        with pytest.raises(ValueError, match="power exponent must be an integer"):
+            power(rbf(1.0), bad)
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         eval_kernel(linear(), [1.0, 2.0], [1.0])
@@ -296,7 +306,7 @@ def test_gram_refuses_a_non_finite_k_xx_in_a_stack():
 
 def test_logdet_identity():
     assert logdet_psd_stack(np.eye(3)) == 0.0
-    assert type(logdet_psd_stack(np.eye(3))) is np.float64  # format_cell writes it as a float
+    assert type(logdet_psd_stack(np.eye(3))) is np.float64  # write_csv writes its str, a float's repr
 
 
 def test_logdet_2x2():

@@ -112,6 +112,12 @@ def test_esp_table_monotone_in_n():
         assert np.all(lv[1:] >= lv[:-1] - 1e-12)
 
 
+@pytest.mark.parametrize("values", [[0.5, -0.25], [math.nan], [1.0, math.inf]])
+def test_nu_rows_refuses_negative_and_non_finite_values(values):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        next(nu_rows(values, 2))
+
+
 def test_nu_rows_entries_do_not_depend_on_k_max():
     # growth_prediction's windows read row max(4k, 64) at k_max = W // 4 and
     # rely on it equalling the row a wider k_max gives, bit for bit
