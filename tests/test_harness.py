@@ -629,15 +629,20 @@ def test_write_csv_round_trippable():
     assert lines[0] == "a,b"
     assert lines[1] == '1.25,"x,y"'
     assert lines[2] == "-inf,plain"
+
+
+def test_format_cell_quoting():
+    # each cell as write_csv formats it: a comma, a quote or a newline is quoted,
+    # a float is its shortest repr, None is "" and a bool is its str
     buf = io.StringIO()
-    write_csv(buf, ["s", "t", "u", "x", "n", "i", "none"], [
-        ("diag:1,0.5", 'say "hi"', "two\nlines", 0.1, float("-inf"), 7, None),
-        ("plain", "", "", np.float64(1 / 3), np.float64(1e-300), np.int64(-3), None),
+    write_csv(buf, ["s", "t", "u", "x", "n", "i", "none", "b"], [
+        ("diag:1,0.5", 'say "hi"', "two\nlines", 0.1, float("-inf"), 7, None, True),
+        ("plain", "", "", np.float64(1 / 3), np.float64(1e-300), np.int64(-3), None, False),
     ])
     assert buf.getvalue() == (
-        "s,t,u,x,n,i,none\n"
-        '"diag:1,0.5","say ""hi""","two\nlines",0.1,-inf,7,\n'
-        f"plain,,,{1 / 3!r},1e-300,-3,\n"
+        "s,t,u,x,n,i,none,b\n"
+        '"diag:1,0.5","say ""hi""","two\nlines",0.1,-inf,7,,True\n'
+        f"plain,,,{1 / 3!r},1e-300,-3,,False\n"
     )
 
 
